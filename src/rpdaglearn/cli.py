@@ -16,7 +16,8 @@ from . import census as census_mod
 from . import data as data_mod
 from .evaluation import evaluate, hamming
 from .graph import GraphError
-from .scoring import Scorer, kl_fit_term
+# bench/tracer.py patches cli.kl_fit_term by name; nothing here calls it.
+from .scoring import PRIOR_IDS, SCORE_IDS, Scorer, kl_fit_term  # noqa: F401
 from .search import (dag_greedy_search, dag_tabu_search, greedy_search,
                      tabu_search)
 
@@ -54,54 +55,58 @@ def _fmt(v):
     return str(v)
 
 
+def _structure(path, names):
+    """Structure of a network file whose variables must be ``names``, in
+    the same order; None when no file is given."""
+    if path is None:
+        return None
+    net = data_mod.load_network(path)
+    if net.variable_names != names:
+        raise data_mod.DataError(f"{path}: variables differ from "
+                                 f"{', '.join(names)}")
+    return net.structure
+
+
+def _scores(structure, dataset, ess, prior):
+    record = evaluate(structure, dataset, ess=ess, prior=prior)
+    return {"BDeu": record["bdeu_train"], "BIC": record["bic_train"],
+            "KL": record["kl_train"], "Edg": record["edges"]}
+
+
+def _distance(learned, gold):
+    breakdown = hamming(learned, gold)
+    return {"H": breakdown.total, "A": breakdown.added,
+            "D": breakdown.deleted, "I": breakdown.inverted}
+
+
 def cmd_learn(args):
     _check_output_path(args.out)
     if args.report:
         _check_output_path(args.report)
     dataset = data_mod.load_csv(args.data, args.missing_token)
+    names = dataset.variable_names
+    start = _structure(args.start, names)
+    gold = _structure(args.gold, names)
     scorer = Scorer(dataset, args.score, args.ess, args.prior)
-    start = None
-    if args.start:
-        start = data_mod.load_network(args.start).structure
-    tll = dataset.n if args.tabu_len is None else args.tabu_len
-    tsit = dataset.n * (dataset.n - 1) if args.tabu_iters is None \
-        else args.tabu_iters
-    if args.space == "rpdag":
-        if args.strategy == "greedy":
-            graph, report = greedy_search(dataset, scorer, start=start)
-        else:
-            graph, report = tabu_search(dataset, scorer, tll, tsit,
-                                        start=start)
+    if args.strategy == "greedy":
+        search = greedy_search if args.space == "rpdag" else dag_greedy_search
+        graph, report = search(dataset, scorer, start=start)
     else:
-        if args.strategy == "greedy":
-            graph, report = dag_greedy_search(dataset, scorer, start=start)
-        else:
-            graph, report = dag_tabu_search(dataset, scorer, tll, tsit,
-                                            start=start)
+        search = tabu_search if args.space == "rpdag" else dag_tabu_search
+        graph, report = search(dataset, scorer, args.tabu_len,
+                               args.tabu_iters, start=start)
 
-    net = data_mod.BayesNet(dataset.variable_names, dataset.cardinalities,
-                            graph, None, dataset.state_labels)
+    net = data_mod.BayesNet(names, dataset.cardinalities, graph, None,
+                            dataset.state_labels)
     data_mod.save_network(net, args.out)
-
-    h = graph if graph.is_dag() else graph.extend()
-    record = {
-        "BDeu": Scorer(dataset, "bdeu", args.ess, args.prior).score_dag(h),
-        "BIC": Scorer(dataset, "bic").score_dag(h),
-        "KL": kl_fit_term(h, dataset),
-        "Edg": graph.edge_count(),
-        "Iter": report.iterations_applied,
-        "BIter": report.best_iteration,
-        "Ind": report.individuals_evaluated,
-        "EstEv": report.evaluated,
-        "TEst": report.requested,
-        "NVars": report.nvars,
-        "Time": report.wall_time_seconds,
-    }
-    if args.gold:
-        gold = data_mod.load_network(args.gold).structure
-        breakdown = hamming(graph, gold)
-        record.update(H=breakdown.total, A=breakdown.added,
-                      D=breakdown.deleted, I=breakdown.inverted)
+    record = _scores(graph, dataset, args.ess, args.prior)
+    record.update(Iter=report.iterations_applied,
+                  BIter=report.best_iteration,
+                  Ind=report.individuals_evaluated, EstEv=report.evaluated,
+                  TEst=report.requested, NVars=report.nvars,
+                  Time=report.wall_time_seconds)
+    if gold is not None:
+        record.update(_distance(graph, gold))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2)
@@ -120,22 +125,16 @@ def cmd_sample(args):
 
 
 def cmd_score(args):
-    net = data_mod.load_network(args.net)
     dataset = data_mod.load_csv(args.data, args.missing_token)
-    if dataset.variable_names != net.variable_names:
-        raise data_mod.DataError("network and dataset variables differ")
-    record = evaluate(net.structure, dataset, ess=args.ess, prior=args.prior)
-    _print_table({"BDeu": record["bdeu_train"], "BIC": record["bic_train"],
-                  "KL": record["kl_train"], "Edg": record["edges"]})
+    structure = _structure(args.net, dataset.variable_names)
+    _print_table(_scores(structure, dataset, args.ess, args.prior))
     return EXIT_OK
 
 
 def cmd_compare(args):
-    learned = data_mod.load_network(args.net).structure
-    gold = data_mod.load_network(args.gold).structure
-    breakdown = hamming(learned, gold)
-    _print_table({"H": breakdown.total, "A": breakdown.added,
-                  "D": breakdown.deleted, "I": breakdown.inverted})
+    learned = data_mod.load_network(args.net)
+    gold = _structure(args.gold, learned.variable_names)
+    _print_table(_distance(learned.structure, gold))
     return EXIT_OK
 
 
@@ -170,22 +169,25 @@ def build_parser():
                                  "the space of restricted PDAGs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    learn = sub.add_parser("learn", help="learn a structure from a CSV")
-    learn.add_argument("--data", required=True)
+    # Options shared by learn and score: the data and how to score it.
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--data", required=True)
+    scoring.add_argument("--ess", type=float, default=1.0)
+    scoring.add_argument("--prior", choices=PRIOR_IDS, default="uniform")
+    scoring.add_argument("--missing-token",
+                         default=data_mod.DEFAULT_MISSING_TOKEN)
+
+    learn = sub.add_parser("learn", parents=[scoring],
+                           help="learn a structure from a CSV")
     learn.add_argument("--out", required=True)
     learn.add_argument("--report", default=None)
     learn.add_argument("--gold", default=None)
     learn.add_argument("--space", choices=("rpdag", "dag"), default="rpdag")
     learn.add_argument("--strategy", choices=("greedy", "tabu"),
                        default="greedy")
-    learn.add_argument("--score", choices=("bdeu", "bic"), default="bdeu")
-    learn.add_argument("--ess", type=float, default=1.0)
-    learn.add_argument("--prior", choices=("uniform", "param-penalty"),
-                       default="uniform")
+    learn.add_argument("--score", choices=SCORE_IDS, default="bdeu")
     learn.add_argument("--tabu-len", type=int, default=None)
     learn.add_argument("--tabu-iters", type=int, default=None)
-    learn.add_argument("--seed", type=int, default=0)
-    learn.add_argument("--missing-token", default="?")
     learn.add_argument("--start", default=None)
     learn.set_defaults(func=cmd_learn)
 
@@ -196,13 +198,9 @@ def build_parser():
     smp.add_argument("--out", required=True)
     smp.set_defaults(func=cmd_sample)
 
-    sc = sub.add_parser("score", help="score a structure against a dataset")
+    sc = sub.add_parser("score", parents=[scoring],
+                        help="score a structure against a dataset")
     sc.add_argument("--net", required=True)
-    sc.add_argument("--data", required=True)
-    sc.add_argument("--ess", type=float, default=1.0)
-    sc.add_argument("--prior", choices=("uniform", "param-penalty"),
-                    default="uniform")
-    sc.add_argument("--missing-token", default="?")
     sc.set_defaults(func=cmd_score)
 
     cmp_ = sub.add_parser("compare", help="Hamming distance against a gold "
@@ -219,21 +217,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (data_mod.DataError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (GraphError, ValueError) as exc:
+    except GraphError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

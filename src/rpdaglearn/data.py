@@ -139,9 +139,11 @@ class BayesNet:
                 raise DataError("parameterized network must be a DAG")
             if len(self.cpts) != n:
                 raise DataError("one table per variable required")
+            no_rows = np.zeros((0, n), dtype=np.int64)
             for y in range(n):
                 table = np.asarray(self.cpts[y], dtype=float)
-                q = parent_config_count(self, y)
+                q = parent_configs(no_rows, self.parents(y),
+                                   self.cardinalities)[1]
                 if table.shape != (q, self.cardinalities[y]):
                     raise DataError(f"table shape mismatch for variable "
                                     f"{self.variable_names[y]}: {table.shape}")
@@ -154,19 +156,28 @@ class BayesNet:
         return sorted(self.structure.pa(y))
 
 
-def parent_config_count(net, y):
+def parent_configs(rows, parents, cardinalities):
+    """Mixed-radix parent-configuration index of every row, the first of
+    ``parents`` most significant, and the configuration count q (a Python
+    int).  Callers pass the parents in ascending node order."""
+    j = np.zeros(rows.shape[0], dtype=np.int64)
     q = 1
-    for p in sorted(net.structure.pa(y)):
-        q *= net.cardinalities[p]
-    return q
+    for p in parents:
+        r = cardinalities[p]
+        j *= r
+        j += rows[:, p]
+        q *= r
+    return j, q
 
 
-def parent_config_index(values, radices):
-    """Mixed-radix index with the first radix most significant."""
-    j = 0
-    for v, r in zip(values, radices):
-        j = j * r + v
-    return j
+def family_counts(dataset, y, parents):
+    """Joint counts, shape (q, r_y): row j is parent configuration j (see
+    :func:`parent_configs`), column k is state k of variable y."""
+    r = dataset.cardinalities[y]
+    j, q = parent_configs(dataset.rows, parents, dataset.cardinalities)
+    j *= r
+    j += dataset.rows[:, y]
+    return np.bincount(j, minlength=q * r).reshape(q, r)
 
 
 def sample(net, m, seed):
@@ -177,20 +188,15 @@ def sample(net, m, seed):
     """
     if net.cpts is None:
         raise DataError("sampling requires conditional probability tables")
+    if m < 0:
+        raise ValueError("sample size must be non-negative")
     rng = np.random.default_rng(seed)
     order = net.structure.topological_order()
     n = net.structure.node_count
     rows = np.zeros((m, n), dtype=np.int64)
     for y in order:
-        parents = net.parents(y)
+        j, _ = parent_configs(rows, net.parents(y), net.cardinalities)
         table = net.cpts[y]
-        if parents:
-            radices = [net.cardinalities[p] for p in parents]
-            j = np.zeros(m, dtype=np.int64)
-            for p, r in zip(parents, radices):
-                j = j * r + rows[:, p]
-        else:
-            j = np.zeros(m, dtype=np.int64)
         u = rng.random(m)
         cum = np.cumsum(table, axis=1)
         drawn = (u[:, None] > cum[j]).sum(axis=1)
@@ -212,16 +218,8 @@ def fit_parameters(structure, dataset, smoothing=1.0):
         raise DataError("structure/dataset arity mismatch")
     cpts = []
     for y in range(dataset.n):
-        parents = sorted(structure.pa(y))
-        r = dataset.cardinalities[y]
-        radices = [dataset.cardinalities[p] for p in parents]
-        q = int(np.prod(radices)) if parents else 1
-        counts = np.zeros((q, r), dtype=float)
-        if dataset.m > 0:
-            j = np.zeros(dataset.m, dtype=np.int64)
-            for p, rad in zip(parents, radices):
-                j = j * rad + dataset.rows[:, p]
-            np.add.at(counts, (j, dataset.rows[:, y]), 1.0)
+        counts = family_counts(dataset, y, sorted(structure.pa(y)))
+        q, r = counts.shape
         nj = counts.sum(axis=1, keepdims=True)
         if smoothing > 0:
             table = (counts + smoothing / (r * q)) / (nj + smoothing / q)
@@ -285,7 +283,11 @@ def load_network(path):
         missing = set(names) - set(doc["cpts"])
         if missing:
             raise DataError(f"{path}: tables missing for {sorted(missing)}")
-        cpts = [np.asarray(doc["cpts"][name], dtype=float) for name in names]
+        try:
+            cpts = [np.asarray(doc["cpts"][name], dtype=float)
+                    for name in names]
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad table ({exc})") from None
     try:
         return BayesNet(names, [len(s) for s in states], g, cpts, states)
     except DataError as exc:

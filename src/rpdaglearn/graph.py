@@ -167,18 +167,24 @@ class PartialDag:
 
     # -- validity --------------------------------------------------------
 
-    def has_directed_cycle(self):
+    def _kahn_order(self):
+        """Kahn's algorithm over the arcs, lowest ready node first and
+        children in ascending order; shorter than node_count iff the arcs
+        contain a directed cycle."""
         indeg = [len(self._pa[y]) for y in range(self.node_count)]
         queue = deque(y for y in range(self.node_count) if indeg[y] == 0)
-        seen = 0
+        order = []
         while queue:
             u = queue.popleft()
-            seen += 1
-            for t in self._ch[u]:
+            order.append(u)
+            for t in sorted(self._ch[u]):
                 indeg[t] -= 1
                 if indeg[t] == 0:
                     queue.append(t)
-        return seen < self.node_count
+        return order
+
+    def has_directed_cycle(self):
+        return len(self._kahn_order()) < self.node_count
 
     def has_undirected_cycle(self):
         # The links-only subgraph is acyclic iff each connected component
@@ -387,18 +393,9 @@ class PartialDag:
         return g
 
     def topological_order(self):
-        if not self.is_dag():
+        order = self._kahn_order()
+        if any(self._ne) or len(order) < self.node_count:
             raise GraphError("topological order requires a DAG")
-        indeg = [len(self._pa[y]) for y in range(self.node_count)]
-        queue = deque(sorted(y for y in range(self.node_count) if indeg[y] == 0))
-        order = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for t in sorted(self._ch[u]):
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
         return order
 
     # -- equivalence -------------------------------------------------------

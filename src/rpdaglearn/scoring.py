@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from .data import family_counts
 from .graph import GraphError
 
 SCORE_IDS = ("bdeu", "bic")
@@ -51,17 +52,8 @@ def count_statistics(dataset, y, parents):
     for v in (y, *parents):
         if not 0 <= v < dataset.n:
             raise GraphError(f"node index {v} out of range")
-    r = dataset.cardinalities[y]
-    radices = [dataset.cardinalities[p] for p in parents]
-    q = int(np.prod(radices)) if parents else 1
-    counts = np.zeros((q, r), dtype=np.int64)
-    if dataset.m > 0:
-        j = np.zeros(dataset.m, dtype=np.int64)
-        for p, rad in zip(parents, radices):
-            j = j * rad + dataset.rows[:, p]
-        flat = np.bincount(j * r + dataset.rows[:, y], minlength=q * r)
-        counts = flat.reshape(q, r)
-    return ContingencyTable(counts, r, q)
+    counts = family_counts(dataset, y, parents)
+    return ContingencyTable(counts, dataset.cardinalities[y], counts.shape[0])
 
 
 def bdeu_local(table, ess, prior="uniform"):

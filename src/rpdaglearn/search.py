@@ -240,15 +240,10 @@ def dag_apply_operator(g, op):
 
 
 def dag_delta_score(g, op, scorer):
-    x, y = op.x, op.y
-    local = scorer.local
-    if op.kind == "A_arc":
-        pa = g.pa(y)
-        return local(y, pa | {x}) - local(y, pa)
-    if op.kind == "D_arc":
-        pa = g.pa(y)
-        return local(y, pa - {x}) - local(y, pa)
+    if op.kind in ("A_arc", "D_arc"):
+        return delta_score(g, op, scorer)
     if op.kind == "R_arc":
+        x, y, local = op.x, op.y, scorer.local
         pay, pax = g.pa(y), g.pa(x)
         return (local(y, pay - {x}) - local(y, pay)
                 + local(x, pax | {y}) - local(x, pax))
@@ -277,26 +272,23 @@ def dag_enumerate_neighborhood(g):
 # -- tabu bookkeeping --------------------------------------------------------
 
 
-def _signature(op):
-    """Edge-change signature of a move, used for tabu matching."""
-    if op.kind in ("A_link", "D_link"):
-        a, b = min(op.x, op.y), max(op.x, op.y)
-        return (op.kind, a, b)
-    if op.kind == "A_hh":
-        return ("A_arc", op.x, op.y)
-    return (op.kind, op.x, op.y)
+_INVERSE_KIND = {"A_link": "D_link", "D_link": "A_link", "A_arc": "D_arc",
+                 "D_arc": "A_arc", "A_hh": "D_arc"}
+
+
+def _signature(op, kind=None):
+    """Edge-change signature of a move, read as a move of ``kind`` when
+    given; used for tabu matching."""
+    kind = kind or ("A_arc" if op.kind == "A_hh" else op.kind)
+    if kind in ("A_link", "D_link"):
+        return (kind, min(op.x, op.y), max(op.x, op.y))
+    return (kind, op.x, op.y)
 
 
 def _inverse_signature(op):
-    inverse_kind = {"A_link": "D_link", "D_link": "A_link",
-                    "A_arc": "D_arc", "D_arc": "A_arc", "A_hh": "D_arc"}
     if op.kind == "R_arc":
         return ("R_arc", op.y, op.x)
-    kind = inverse_kind[op.kind]
-    if kind in ("A_link", "D_link"):
-        a, b = min(op.x, op.y), max(op.x, op.y)
-        return (kind, a, b)
-    return (kind, op.x, op.y)
+    return _signature(op, _INVERSE_KIND[op.kind])
 
 
 # -- drivers ------------------------------------------------------------------
@@ -364,6 +356,9 @@ def _greedy(dataset, scorer, space, start):
 
 
 def _tabu(dataset, scorer, space, start, tll, tsit):
+    n = dataset.n
+    tll = n if tll is None else tll
+    tsit = n * (n - 1) if tsit is None else tsit
     if tll < 0 or tsit < 1:
         raise ValueError("tabu parameters out of range")
     t0 = time.perf_counter()
@@ -421,9 +416,6 @@ def tabu_search(dataset, scorer, tll=None, tsit=None, start=None):
     applying the best non-forbidden move (even if it worsens the score),
     with a list of the last tll applied moves' inverses and aspiration by
     best score seen.  Defaults: tll = n, tsit = n(n-1)."""
-    n = dataset.n
-    tll = n if tll is None else tll
-    tsit = n * (n - 1) if tsit is None else tsit
     return _tabu(dataset, scorer, _RPDAG_SPACE, start, tll, tsit)
 
 
@@ -433,7 +425,5 @@ def dag_greedy_search(dataset, scorer, start=None):
 
 
 def dag_tabu_search(dataset, scorer, tll=None, tsit=None, start=None):
-    n = dataset.n
-    tll = n if tll is None else tll
-    tsit = n * (n - 1) if tsit is None else tsit
+    """Baseline tabu search over DAGs; defaults as in tabu_search."""
     return _tabu(dataset, scorer, _DAG_SPACE, start, tll, tsit)

@@ -6,6 +6,7 @@ import pytest
 from rpdaglearn.cli import main
 
 COLLIDER = str(files("rpdaglearn") / "nets" / "collider3.json")
+GOLD8 = str(files("rpdaglearn") / "nets" / "gold8.json")
 
 REPORT_KEYS = {"BDeu", "BIC", "KL", "Edg", "Iter", "BIter", "Ind",
                "EstEv", "TEst", "NVars", "Time"}
@@ -18,6 +19,29 @@ def sampled_csv(tmp_path):
                "--seed", "7", "--out", str(out)])
     assert rc == 0
     return str(out)
+
+
+@pytest.fixture(scope="module")
+def gold8_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("gold8") / "data.csv"
+    assert main(["sample", "--net", GOLD8, "--n", "3000", "--seed", "4",
+                 "--out", str(out)]) == 0
+    return str(out)
+
+
+@pytest.fixture(scope="module")
+def reversed_gold8(tmp_path_factory):
+    """gold8 with its variables listed in reverse order."""
+    doc = json.loads(open(GOLD8, encoding="utf-8").read())
+    doc["variables"].reverse()
+    doc.pop("cpts")
+    path = tmp_path_factory.mktemp("rev") / "gold8_reversed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def last_row(capsys):
+    return capsys.readouterr().out.splitlines()[-1].split()
 
 
 class TestSample:
@@ -88,6 +112,47 @@ class TestLearn:
         assert rc == 0
 
 
+    def test_gold_in_another_variable_order(self, tmp_path, gold8_csv,
+                                           reversed_gold8):
+        report = tmp_path / "report.json"
+        argv = ["learn", "--data", gold8_csv, "--out",
+                str(tmp_path / "learned.json"), "--report", str(report)]
+        assert main([*argv, "--gold", GOLD8]) == 0
+        assert json.loads(report.read_text())["H"] == 0
+        assert main([*argv, "--gold", reversed_gold8]) == 2
+
+    def test_start_of_another_size(self, tmp_path, gold8_csv):
+        rc = main(["learn", "--data", gold8_csv,
+                   "--out", str(tmp_path / "learned.json"),
+                   "--start", COLLIDER])
+        assert rc == 2
+
+    @pytest.mark.parametrize("space", ["rpdag", "dag"])
+    def test_tabu_options_pass_through(self, tmp_path, gold8_csv, space):
+        report = tmp_path / "report.json"
+        argv = ["learn", "--data", gold8_csv, "--space", space,
+                "--strategy", "tabu", "--out", str(tmp_path / "l.json"),
+                "--report", str(report)]
+        assert main([*argv, "--tabu-iters", "5"]) == 0
+        assert json.loads(report.read_text())["Iter"] == 5
+        assert main([*argv, "--tabu-iters", "5", "--tabu-len", "0"]) == 0
+
+    @pytest.mark.parametrize("space", ["rpdag", "dag"])
+    def test_report_scores_match_score_command(self, tmp_path, gold8_csv,
+                                               capsys, space):
+        out, report = tmp_path / "learned.json", tmp_path / "report.json"
+        assert main(["learn", "--data", gold8_csv, "--out", str(out),
+                     "--report", str(report), "--space", space,
+                     "--ess", "2"]) == 0
+        record = json.loads(report.read_text())
+        capsys.readouterr()
+        assert main(["score", "--net", str(out), "--data", gold8_csv,
+                     "--ess", "2"]) == 0
+        row = last_row(capsys)
+        assert row == [f"{record['BDeu']:.5f}", f"{record['BIC']:.5f}",
+                       f"{record['KL']:.5f}", str(record["Edg"])]
+
+
 class TestScore:
     def test_scores_gold_network(self, sampled_csv, capsys):
         rc = main(["score", "--net", COLLIDER, "--data", sampled_csv])
@@ -119,6 +184,11 @@ class TestCompare:
         assert rc == 0
 
 
+    def test_networks_in_different_variable_orders(self, reversed_gold8):
+        assert main(["compare", "--net", GOLD8,
+                     "--gold", reversed_gold8]) == 2
+
+
 class TestCensus:
     def test_three_nodes(self, capsys):
         rc = main(["census", "--n", "3"])
@@ -137,3 +207,19 @@ class TestUsage:
 
     def test_missing_required_argument(self):
         assert main(["learn", "--data", "x.csv"]) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["learn", "--ess", "-1"],
+        ["learn", "--ess", "0"],
+        ["learn", "--strategy", "tabu", "--tabu-iters", "0"],
+        ["learn", "--strategy", "tabu", "--tabu-len", "-1"],
+        ["sample", "--n", "-3"],
+    ])
+    def test_out_of_range_option_values(self, tmp_path, sampled_csv,
+                                        capsys, command):
+        out = ["--out", str(tmp_path / "out")]
+        inputs = (["--data", sampled_csv] if command[0] == "learn"
+                  else ["--net", COLLIDER])
+        assert main([*command, *inputs, *out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from rpdaglearn.data import (BayesNet, DataError, Dataset, fit_parameters,
-                             load_csv, load_network, sample, save_csv,
-                             save_network)
+from rpdaglearn.data import (BayesNet, DataError, Dataset, family_counts,
+                             fit_parameters, load_csv, load_network,
+                             parent_configs, sample, save_csv, save_network)
 from rpdaglearn.graph import PartialDag
 
 
@@ -61,6 +61,21 @@ class TestLoadCsv:
         assert ds2.variable_names == ds.variable_names
         assert ds2.state_labels == ds.state_labels
         assert np.array_equal(ds2.rows, ds.rows)
+
+
+class TestCounting:
+    def test_first_parent_most_significant(self):
+        rows = np.array([[0, 2, 1], [1, 0, 0], [1, 2, 1]])
+        j, q = parent_configs(rows, [0, 1], [2, 3, 2])
+        assert j.tolist() == [2, 3, 5]
+        assert q == 6 and type(q) is int
+
+    def test_family_counts(self):
+        ds = Dataset(["a", "b"], [2, 3], [[0, 2], [1, 0], [1, 2], [1, 2]])
+        assert family_counts(ds, 1, [0]).tolist() == [[0, 0, 1], [1, 0, 2]]
+        assert family_counts(ds, 0, []).tolist() == [[1, 3]]
+        empty = Dataset(["a", "b"], [2, 3], np.zeros((0, 2)))
+        assert family_counts(empty, 1, [0]).tolist() == [[0] * 3] * 2
 
 
 class TestSample:
@@ -152,6 +167,13 @@ class TestNetworkFile:
           "edges": {"arcs": [], "links": []},
           "cpts": {"y": [[0.4, 0.5]]}
         }"""
+        with pytest.raises(DataError):
+            load_network(write(tmp_path / "bad.json", text))
+
+    @pytest.mark.parametrize("table", ['[[0.5, "a"]]', '[[0.5, 0.5], [1.0]]'])
+    def test_malformed_table_rejected(self, tmp_path, table):
+        text = ('{"variables": [{"name": "y", "states": ["0", "1"]}],'
+                f' "cpts": {{"y": {table}}}}}')
         with pytest.raises(DataError):
             load_network(write(tmp_path / "bad.json", text))
 

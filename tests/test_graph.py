@@ -49,6 +49,18 @@ class TestIsDag:
         assert not g_from(3, arcs=[(0, 1)], links=[(1, 2)]).is_dag()
 
 
+class TestTopologicalOrder:
+    def test_lowest_ready_node_first(self):
+        g = PartialDag.from_edges(4, arcs=[(3, 0), (2, 1), (3, 1)])
+        assert g.topological_order() == [2, 3, 0, 1]
+
+    def test_requires_dag(self):
+        for g in (PartialDag.from_edges(2, links=[(0, 1)]),
+                  PartialDag.from_edges(3, arcs=[(0, 1), (1, 2), (2, 0)])):
+            with pytest.raises(GraphError):
+                g.topological_order()
+
+
 class TestIsRpdag:
     def test_link_chain(self):
         assert g_from(3, links=[(0, 1), (1, 2)]).is_rpdag()
