@@ -18,8 +18,8 @@ from .evaluation import evaluate, hamming
 from .graph import GraphError
 # bench/tracer.py patches cli.kl_fit_term by name; nothing here calls it.
 from .scoring import PRIOR_IDS, SCORE_IDS, Scorer, kl_fit_term  # noqa: F401
-from .search import (dag_greedy_search, dag_tabu_search, greedy_search,
-                     tabu_search)
+from .search import (StartError, dag_greedy_search, dag_tabu_search,
+                     greedy_search, tabu_search)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -223,7 +223,8 @@ def main(argv=None):
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (data_mod.DataError, FileNotFoundError, OSError) as exc:
+    except (data_mod.DataError, StartError, FileNotFoundError,
+            OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except GraphError as exc:

@@ -247,22 +247,25 @@ class PartialDag:
         """
         self._check_node(x)
         self._check_node(y)
-        if x == y:
-            return True
+        return x == y or x in self.semi_directed_reach(y, skip_link)
+
+    def semi_directed_reach(self, y, skip_link=None):
+        """The set of nodes on semi-directed paths from y, y included;
+        ``skip_link`` as in :meth:`partially_directed_reachable`."""
+        a, b = skip_link if skip_link is not None else (None, None)
         seen = {y}
-        queue = deque([y])
-        while queue:
-            u = queue.popleft()
-            for t in itertools.chain(self._ch[u], self._ne[u]):
-                if t in self._ne[u] and skip_link is not None:
-                    if {u, t} == set(skip_link):
-                        continue
-                if t == x:
-                    return True
+        stack = [y]
+        while stack:
+            u = stack.pop()
+            for t in self._ch[u]:
                 if t not in seen:
                     seen.add(t)
-                    queue.append(t)
-        return False
+                    stack.append(t)
+            for t in self._ne[u]:
+                if t not in seen and not (u in (a, b) and t in (a, b)):
+                    seen.add(t)
+                    stack.append(t)
+        return seen
 
     # -- cascades --------------------------------------------------------
 

@@ -158,21 +158,14 @@ class Scorer:
 def mutual_information(dataset, y, parents):
     """Empirical mutual information (nats) between y and its parent set."""
     table = count_statistics(dataset, y, parents)
+    counts = table.counts
     m = table.total
     if m == 0:
         return 0.0
-    nj = table.marginals.astype(float)
-    nk = table.counts.sum(axis=0).astype(float)
-    mi = 0.0
-    for j in range(table.q):
-        if nj[j] == 0:
-            continue
-        for k in range(table.r_child):
-            njk = table.counts[j, k]
-            if njk == 0 or nk[k] == 0:
-                continue
-            mi += (njk / m) * math.log(njk * m / (nj[j] * nk[k]))
-    return mi
+    j, k = np.nonzero(counts)
+    njk = counts[j, k]
+    nj, nk = table.marginals[j], counts.sum(axis=0)[k]
+    return float(np.sum(njk / m * np.log(njk * m / (nj * nk))))
 
 
 def kl_fit_term(h, dataset):

@@ -11,6 +11,7 @@ fixed-iteration tabu driver.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -159,34 +160,59 @@ def delta_score(g, op, scorer):
     raise GraphError(f"unknown operator kind {op.kind!r}")
 
 
+# Operators are frozen values, so the enumerator hands out one shared
+# instance per distinct move instead of building a new one every iteration,
+# and the delta cache's lookups match it by identity, not field by field.
+# The bound caps the memory held.
+_operator = functools.lru_cache(maxsize=1 << 16)(MoveOperator)
+
+
 def enumerate_neighborhood(g):
     """All applicable operators on g, deduplicated (undirected moves are
-    emitted once, with x < y) and in deterministic tie-break order."""
-    ops = []
+    emitted once, with x < y) and in deterministic tie-break order.
+
+    The list equals every candidate filtered through :func:`is_applicable`
+    and sorted by :meth:`MoveOperator.sort_key`, built in one pass: the UC
+    test compares link-component ids and each DC test reads one
+    semi-directed reach set per source node (and skipped link)."""
     n = g.node_count
+    pa, ch, ne = g._pa, g._ch, g._ne
+    component = [0] * n
+    for i, comp in enumerate(g.chain_components()):
+        for v in comp:
+            component[v] = i
+    reach = {}      # (y, skipped neighbour or None) -> semi-directed reach
+
+    def reaches(y, x, z=None):
+        key = (y, z)
+        if key not in reach:
+            reach[key] = g.semi_directed_reach(
+                y, None if z is None else (y, z))
+        return x in reach[key]
+
+    neighbours = [sorted(s) for s in ne]
+    links, arcs, hhs = [], [], []
     for x in range(n):
+        adjacent = pa[x] | ch[x] | ne[x]
+        anchored = bool(pa[x] or ne[x])
         for y in range(n):
-            if x == y or g.is_adjacent(x, y):
+            if x == y or y in adjacent:
                 continue
-            if x < y:
-                op = MoveOperator("A_link", x, y)
-                if is_applicable(g, op):
-                    ops.append(op)
-            op = MoveOperator("A_arc", x, y)
-            if is_applicable(g, op):
-                ops.append(op)
-            for z in sorted(g.ne(y)):
-                if z == x:
-                    continue
-                op = MoveOperator("A_hh", x, y, z)
-                if is_applicable(g, op):
-                    ops.append(op)
-    for x, y in g.arcs():
-        ops.append(MoveOperator("D_arc", x, y))
-    for x, y in g.links():
-        ops.append(MoveOperator("D_link", x, y))
-    ops.sort(key=MoveOperator.sort_key)
-    return ops
+            if not (pa[x] or pa[y]):
+                if x < y and component[x] != component[y]:
+                    links.append(_operator("A_link", x, y))
+            elif not (pa[x] and (ch[y] or ne[y]) and reaches(y, x)):
+                arcs.append(_operator("A_arc", x, y))
+            if pa[y]:
+                continue
+            outgoing = ch[y] or len(ne[y]) >= 2
+            for z in neighbours[y]:
+                if z != x and not (outgoing and anchored
+                                   and reaches(y, x, z)):
+                    hhs.append(_operator("A_hh", x, y, z))
+    return (links + arcs + hhs
+            + [_operator("D_arc", x, y) for x, y in sorted(g.arcs())]
+            + [_operator("D_link", x, y) for x, y in sorted(g.links())])
 
 
 # -- DAG-space operators -----------------------------------------------------
@@ -294,60 +320,125 @@ def _inverse_signature(op):
 # -- drivers ------------------------------------------------------------------
 
 
+class StartError(GraphError):
+    """A start structure that does not fit the dataset or the search
+    space: bad input rather than a broken invariant."""
+
+
+def _rpdag_start_problem(g):
+    bad = ", ".join(map(str, g.rpdag_violations()))
+    return bad and f"restricted-PDAG condition {bad} fails"
+
+
+def _dag_start_problem(g):
+    if any(g._ne):
+        return "not a DAG: it has links"
+    if g.has_directed_cycle():
+        return "not a DAG: it has a directed cycle"
+    return ""
+
+
 class _Space:
     """Bundles the operator set of a search space."""
 
     def __init__(self, neighborhood, delta, apply_inplace, initial_score,
-                 validate_start):
+                 start_problem):
         self.neighborhood = neighborhood
         self.delta = delta
         self.apply_inplace = apply_inplace
         self.initial_score = initial_score
-        self.validate_start = validate_start
+        self.start_problem = start_problem
 
 
 _RPDAG_SPACE = _Space(enumerate_neighborhood, delta_score, _apply_inplace,
                       lambda scorer, g: scorer.score_rpdag(g),
-                      lambda g: g.is_rpdag())
+                      _rpdag_start_problem)
 _DAG_SPACE = _Space(dag_enumerate_neighborhood, dag_delta_score,
                     _dag_apply_inplace,
                     lambda scorer, g: scorer.score_dag(g),
-                    lambda g: g.is_dag())
+                    _dag_start_problem)
 
 
 def _prepare_start(dataset, start, space):
     g = PartialDag(dataset.n) if start is None else start.copy()
     if g.node_count != dataset.n:
-        raise GraphError("start structure / dataset arity mismatch")
-    if not space.validate_start(g):
-        raise GraphError("start structure invalid for this search space")
+        raise StartError("start structure / dataset arity mismatch")
+    problem = space.start_problem(g)
+    if problem:
+        raise StartError(f"start structure invalid: {problem}")
     return g
+
+
+def _parents_read(op):
+    """Nodes whose parent sets the delta of ``op`` reads; the link and
+    head-to-head moves score fixed families."""
+    if op.kind in ("A_arc", "D_arc"):
+        return (op.y,)
+    if op.kind == "R_arc":
+        return (op.x, op.y)
+    return ()
+
+
+class _DeltaCache:
+    """Operator deltas kept across the iterations of one search.
+
+    A delta stays valid until a parent set it reads (see
+    :func:`_parents_read`) changes, so after each move only the deltas
+    reading a changed parent set are dropped.  ``space.delta`` runs only
+    on a miss; ``misses`` counts those runs (the ``Ind`` counter)."""
+
+    def __init__(self, space, scorer, n):
+        self.space, self.scorer = space, scorer
+        self.values = {}
+        self.readers = [[] for _ in range(n)]
+        self.misses = 0
+
+    def scored(self, g):
+        """(operator, delta) for each move of g's neighbourhood."""
+        values = self.values
+        for op in self.space.neighborhood(g):
+            d = values.get(op)
+            if d is None:
+                d = values[op] = self.space.delta(g, op, self.scorer)
+                self.misses += 1
+                for v in _parents_read(op):
+                    self.readers[v].append(op)
+            yield op, d
+
+    def apply(self, g, op):
+        """Apply op to g in place, cascades included, and drop the deltas
+        that read a parent set it changed."""
+        before = [set(p) for p in g._pa]
+        self.space.apply_inplace(g, op)
+        for v, parents in enumerate(g._pa):
+            if parents != before[v]:
+                for stale in self.readers[v]:
+                    self.values.pop(stale, None)
+                self.readers[v] = []
 
 
 def _greedy(dataset, scorer, space, start):
     t0 = time.perf_counter()
     g = _prepare_start(dataset, start, space)
     total = space.initial_score(scorer, g)
+    deltas = _DeltaCache(space, scorer, g.node_count)
     iterations = 0
-    individuals = 0
     trace = []
     while True:
         best_op = None
         best_delta = IMPROVE_TOL
-        for op in space.neighborhood(g):
-            d = space.delta(g, op, scorer)
-            individuals += 1
+        for op, d in deltas.scored(g):
             if d > best_delta:
                 best_op, best_delta = op, d
         if best_op is None:
             break
-        space.apply_inplace(g, best_op)
+        deltas.apply(g, best_op)
         total += best_delta
         iterations += 1
         trace.append((best_op, best_delta))
     report = SearchReport(
         best_score=total, iterations_applied=iterations,
-        best_iteration=iterations, individuals_evaluated=individuals,
+        best_iteration=iterations, individuals_evaluated=deltas.misses,
         evaluated=scorer.cache.evaluated, requested=scorer.cache.requested,
         nvars=scorer.cache.nvars,
         wall_time_seconds=time.perf_counter() - t0,
@@ -365,16 +456,14 @@ def _tabu(dataset, scorer, space, start, tll, tsit):
     g = _prepare_start(dataset, start, space)
     total = space.initial_score(scorer, g)
     best_graph, best_score, best_iteration = g.copy(), total, 0
+    deltas = _DeltaCache(space, scorer, n)
     tabu = deque(maxlen=tll)
     iterations = 0
-    individuals = 0
     trace = []
     for it in range(1, tsit + 1):
         chosen = chosen_delta = None
         fallback = fallback_delta = None
-        for op in space.neighborhood(g):
-            d = space.delta(g, op, scorer)
-            individuals += 1
+        for op, d in deltas.scored(g):
             if fallback is None or d > fallback_delta:
                 fallback, fallback_delta = op, d
             blocked = (tll > 0 and _signature(op) in tabu
@@ -389,7 +478,7 @@ def _tabu(dataset, scorer, space, start, tll, tsit):
             chosen, chosen_delta = fallback, fallback_delta
         if tll > 0:
             tabu.append(_inverse_signature(chosen))
-        space.apply_inplace(g, chosen)
+        deltas.apply(g, chosen)
         total += chosen_delta
         iterations += 1
         trace.append((chosen, chosen_delta))
@@ -397,7 +486,7 @@ def _tabu(dataset, scorer, space, start, tll, tsit):
             best_graph, best_score, best_iteration = g.copy(), total, it
     report = SearchReport(
         best_score=best_score, iterations_applied=iterations,
-        best_iteration=best_iteration, individuals_evaluated=individuals,
+        best_iteration=best_iteration, individuals_evaluated=deltas.misses,
         evaluated=scorer.cache.evaluated, requested=scorer.cache.requested,
         nvars=scorer.cache.nvars,
         wall_time_seconds=time.perf_counter() - t0,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rpdaglearn.data import Dataset
+from rpdaglearn.data import BayesNet, Dataset
 from rpdaglearn.graph import PartialDag
 
 
@@ -22,6 +22,19 @@ def random_dag(n, rng, p=0.4):
 
 def random_rpdag(n, rng, p=0.4):
     return random_dag(n, rng, p).reduce_to_rpdag()
+
+
+def random_network(n, seed, p=0.3):
+    """Random DAG (as random_dag) with 2-3 states per variable and
+    Dirichlet(1) tables, all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    g = random_dag(n, rng, p)
+    cards = [int(rng.integers(2, 4)) for _ in range(n)]
+    cpts = []
+    for y in range(n):
+        q = int(np.prod([cards[x] for x in sorted(g.pa(y))]))
+        cpts.append(rng.dirichlet(np.ones(cards[y]), size=q))
+    return BayesNet([f"v{i}" for i in range(n)], cards, g, cpts)
 
 
 def random_dataset(n, m, rng, max_card=3):

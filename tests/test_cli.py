@@ -127,6 +127,30 @@ class TestLearn:
                    "--start", COLLIDER])
         assert rc == 2
 
+    @pytest.mark.parametrize("space, edges, check", [
+        ("dag", {"arcs": [["a", "c"]], "links": [["d", "e"]]}, "has links"),
+        ("dag", {"arcs": [["a", "b"], ["b", "c"], ["c", "a"]]},
+         "directed cycle"),
+        ("rpdag", {"arcs": [["a", "c"]]}, "condition 4"),
+        ("rpdag", {"arcs": [["a", "c"], ["b", "c"]], "links": [["c", "d"]]},
+         "condition 1"),
+    ])
+    def test_start_invalid_for_space(self, tmp_path, gold8_csv, capsys,
+                                     space, edges, check):
+        doc = json.loads(open(GOLD8, encoding="utf-8").read())
+        doc["edges"] = {"arcs": [], "links": [], **edges}
+        doc.pop("cpts")
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["learn", "--data", gold8_csv, "--space", space,
+                   "--out", str(tmp_path / "learned.json"),
+                   "--start", str(start)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: start structure invalid")
+        assert check in err
+        assert not (tmp_path / "learned.json").exists()
+
     @pytest.mark.parametrize("space", ["rpdag", "dag"])
     def test_tabu_options_pass_through(self, tmp_path, gold8_csv, space):
         report = tmp_path / "report.json"

@@ -169,7 +169,49 @@ class TestCache:
         assert cache.requested == 2
 
 
+def mutual_information_loop(table):
+    """The double loop over (j, k) that mutual_information replaced, kept
+    as an oracle."""
+    m = table.total
+    if m == 0:
+        return 0.0
+    nj = table.marginals.astype(float)
+    nk = table.counts.sum(axis=0).astype(float)
+    mi = 0.0
+    for j in range(table.q):
+        if nj[j] == 0:
+            continue
+        for k in range(table.r_child):
+            njk = table.counts[j, k]
+            if njk == 0 or nk[k] == 0:
+                continue
+            mi += (njk / m) * math.log(njk * m / (nj[j] * nk[k]))
+    return mi
+
+
 class TestMutualInformation:
+    def test_matches_loop_oracle(self, rng):
+        # Each column draws from a random subset of its states, so tables
+        # have empty parent configurations (rows) and child states
+        # (columns); every tenth dataset is empty.
+        empty_rows = empty_columns = 0
+        for trial in range(300):
+            cards = [int(c) for c in rng.integers(2, 6, size=4)]
+            m = int(rng.integers(1, 300)) if trial % 10 else 0
+            rows = np.column_stack([
+                rng.choice(rng.choice(r, size=int(rng.integers(1, r + 1)),
+                                      replace=False), size=m)
+                for r in cards]).astype(np.int64).reshape(m, 4)
+            ds = dataset_from(cards, rows)
+            parents = [p for p in (1, 2, 3) if rng.random() < 0.6]
+            table = count_statistics(ds, 0, parents)
+            empty_rows += bool(np.any(table.marginals == 0))
+            empty_columns += bool(np.any(table.counts.sum(axis=0) == 0))
+            want = mutual_information_loop(table)
+            got = mutual_information(ds, 0, parents)
+            assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+        assert empty_rows and empty_columns
+
     def test_independent_uniform(self):
         rows = list(itertools.product((0, 1), repeat=2)) * 5
         ds = dataset_from([2, 2], rows)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_dataset, random_rpdag
+from conftest import random_dataset, random_network, random_rpdag
+from rpdaglearn import search
 from rpdaglearn.census import enumerate_dags, group_by_rpdag_key
 from rpdaglearn.data import BayesNet, sample
 from rpdaglearn.graph import GraphError, PartialDag, is_extension
@@ -116,6 +117,55 @@ class TestNeighborhoodCounts:
             keys = [op.sort_key() for op in ops]
             assert keys == sorted(keys)
             assert len(set(ops)) == len(ops)
+
+
+def oracle_neighborhood(g):
+    """Every candidate operator filtered through is_applicable, in
+    tie-break order: the neighbourhood by definition."""
+    n = g.node_count
+    candidates = []
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            kinds = ("A_link", "A_arc", "D_arc", "D_link") if x < y \
+                else ("A_arc", "D_arc")
+            candidates += [MoveOperator(kind, x, y) for kind in kinds]
+            candidates += [MoveOperator("A_hh", x, y, z)
+                           for z in range(n) if z not in (x, y)]
+    return sorted((op for op in candidates if is_applicable(g, op)),
+                  key=MoveOperator.sort_key)
+
+
+def oracle_graphs(count):
+    """Seeded random restricted PDAGs, n = 4..9: reduced random DAGs of
+    several densities, and the ends of random operator walks."""
+    rng = np.random.default_rng(77)
+    graphs = []
+    while len(graphs) < count:
+        n = int(rng.integers(4, 10))
+        graphs.append(random_rpdag(n, rng, p=float(rng.uniform(0.1, 0.7))))
+        g = PartialDag(n)
+        for _ in range(int(rng.integers(1, 3 * n))):
+            ops = enumerate_neighborhood(g)
+            g = apply_operator(g, ops[int(rng.integers(len(ops)))])
+        graphs.append(g)
+    return graphs
+
+
+class TestNeighborhoodOracle:
+    def test_equals_filtered_candidates(self):
+        skip_matters = 0
+        for g in oracle_graphs(240):
+            assert g.is_rpdag()
+            expected = oracle_neighborhood(g)
+            assert enumerate_neighborhood(g) == expected, g
+            # A head-to-head move whose DC test passes only because the
+            # redirected link y-z is skipped.
+            skip_matters += sum(
+                1 for op in expected if op.kind == "A_hh"
+                and g.partially_directed_reachable(op.y, op.x))
+        assert skip_matters > 0
 
 
 class TestClosure:
@@ -233,6 +283,29 @@ def five_node_net():
             np.array([[0.8, 0.2], [0.2, 0.8]]),
             np.array([[0.5, 0.5]])]
     return BayesNet(list("xyzwv"), [2] * 5, g, cpts)
+
+
+class TestDeltaCache:
+    @pytest.mark.parametrize("run", [
+        greedy_search, tabu_search, dag_greedy_search, dag_tabu_search])
+    def test_used_deltas_equal_fresh_deltas(self, monkeypatch, run):
+        # At every iteration, each delta the driver compares (cached or
+        # not) equals the space's delta against a fresh scorer.
+        scored = search._DeltaCache.scored
+        used = []
+
+        def checked(cache, g):
+            fresh = Scorer(cache.scorer.dataset)
+            for op, d in scored(cache, g):
+                assert d == cache.space.delta(g, op, fresh), op
+                used.append(op)
+                yield op, d
+
+        monkeypatch.setattr(search._DeltaCache, "scored", checked)
+        ds = sample(random_network(7, seed=3, p=0.4), 1500, seed=3)
+        _, report = run(ds, Scorer(ds))
+        assert report.iterations_applied > 3
+        assert len(used) > 2 * report.individuals_evaluated
 
 
 class TestGreedy:
