@@ -55,16 +55,31 @@ def _fmt(v):
     return str(v)
 
 
-def _structure(path, names):
+def _structure(path, names, role=None):
     """Structure of a network file whose variables must be ``names``, in
-    the same order; None when no file is given."""
+    the same order; None when no file is given.  ``role`` is "gold" or
+    "net" (see :func:`_check_role`); a learn start has none, as the search
+    checks it against its space."""
     if path is None:
         return None
     net = data_mod.load_network(path)
     if net.variable_names != names:
         raise data_mod.DataError(f"{path}: variables differ from "
                                  f"{', '.join(names)}")
+    if role:
+        _check_role(path, net.structure, role)
     return net.structure
+
+
+def _check_role(path, g, role):
+    """A gold network must be a DAG; a structure to score or compare
+    ("net") must be a DAG or a restricted PDAG."""
+    problem = g.dag_problem()
+    if problem and role == "net":
+        problem = g.rpdag_problem() and f"{problem}, and {g.rpdag_problem()}"
+    if problem:
+        what = "gold network" if role == "gold" else "structure"
+        raise data_mod.DataError(f"{path}: {what} is {problem}")
 
 
 def _scores(structure, dataset, ess, prior):
@@ -86,7 +101,7 @@ def cmd_learn(args):
     dataset = data_mod.load_csv(args.data, args.missing_token)
     names = dataset.variable_names
     start = _structure(args.start, names)
-    gold = _structure(args.gold, names)
+    gold = _structure(args.gold, names, "gold")
     scorer = Scorer(dataset, args.score, args.ess, args.prior)
     if args.strategy == "greedy":
         search = greedy_search if args.space == "rpdag" else dag_greedy_search
@@ -126,14 +141,15 @@ def cmd_sample(args):
 
 def cmd_score(args):
     dataset = data_mod.load_csv(args.data, args.missing_token)
-    structure = _structure(args.net, dataset.variable_names)
+    structure = _structure(args.net, dataset.variable_names, "net")
     _print_table(_scores(structure, dataset, args.ess, args.prior))
     return EXIT_OK
 
 
 def cmd_compare(args):
     learned = data_mod.load_network(args.net)
-    gold = _structure(args.gold, learned.variable_names)
+    _check_role(args.net, learned.structure, "net")
+    gold = _structure(args.gold, learned.variable_names, "gold")
     _print_table(_distance(learned.structure, gold))
     return EXIT_OK
 

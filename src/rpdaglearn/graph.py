@@ -195,10 +195,16 @@ class PartialDag:
                 return True
         return False
 
+    def dag_problem(self):
+        """What keeps the graph from being a DAG; "" for a DAG."""
+        if any(self._ne):
+            return "not a DAG: it has links"
+        if self.has_directed_cycle():
+            return "not a DAG: it has a directed cycle"
+        return ""
+
     def is_dag(self):
-        if any(self._ne[y] for y in range(self.node_count)):
-            return False
-        return not self.has_directed_cycle()
+        return not self.dag_problem()
 
     def rpdag_violations(self):
         """Return the list of violated restricted-PDAG conditions (1-4)."""
@@ -214,6 +220,12 @@ class PartialDag:
                 bad.append(4)
                 break
         return bad
+
+    def rpdag_problem(self):
+        """The failed restricted-PDAG conditions; "" for a restricted
+        PDAG."""
+        bad = ", ".join(map(str, self.rpdag_violations()))
+        return bad and f"restricted-PDAG condition {bad} fails"
 
     def is_rpdag(self):
         return not self.rpdag_violations()

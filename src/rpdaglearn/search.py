@@ -5,8 +5,8 @@ addition, arc deletion, link deletion, and head-to-head creation (adding
 an arc x->y while redirecting an existing link y-z into z->y).  Every
 operator's score change is computed from exactly two local scores.  The
 DAG baseline uses arc addition, deletion, and reversal (reversal costs
-two local-score pairs).  Both spaces come with a greedy driver and a
-fixed-iteration tabu driver.
+two local-score pairs).  One search loop runs greedy or fixed-iteration
+tabu search in either space.
 """
 
 from __future__ import annotations
@@ -277,22 +277,23 @@ def dag_delta_score(g, op, scorer):
 
 
 def dag_enumerate_neighborhood(g):
-    ops = []
-    n = g.node_count
-    for x in range(n):
-        for y in range(n):
-            if x == y or g.is_adjacent(x, y):
-                continue
-            op = MoveOperator("A_arc", x, y)
-            if dag_is_applicable(g, op):
-                ops.append(op)
-    for x, y in g.arcs():
-        ops.append(MoveOperator("D_arc", x, y))
-        op = MoveOperator("R_arc", x, y)
-        if dag_is_applicable(g, op):
-            ops.append(op)
-    ops.sort(key=MoveOperator.sort_key)
-    return ops
+    """All applicable add/delete/reverse moves on the DAG g, in
+    tie-break order.
+
+    The list equals every candidate filtered through
+    :func:`dag_is_applicable` and sorted by :meth:`MoveOperator.sort_key`,
+    built in one pass from one descendant set per node: x->y closes a
+    cycle iff x descends from y, and reversing x->y does iff y descends
+    from another child of x."""
+    n, ch = g.node_count, g._ch
+    desc = [g.semi_directed_reach(v) for v in range(n)]
+    arcs = sorted(g.arcs())
+    # x in desc[x], so the descendant test also rules out x == y.
+    return ([_operator("A_arc", x, y) for x in range(n) for y in range(n)
+             if y not in ch[x] and x not in desc[y]]
+            + [_operator("D_arc", x, y) for x, y in arcs]
+            + [_operator("R_arc", x, y) for x, y in arcs
+               if not any(y in desc[c] for c in ch[x] if c != y)])
 
 
 # -- tabu bookkeeping --------------------------------------------------------
@@ -325,19 +326,6 @@ class StartError(GraphError):
     space: bad input rather than a broken invariant."""
 
 
-def _rpdag_start_problem(g):
-    bad = ", ".join(map(str, g.rpdag_violations()))
-    return bad and f"restricted-PDAG condition {bad} fails"
-
-
-def _dag_start_problem(g):
-    if any(g._ne):
-        return "not a DAG: it has links"
-    if g.has_directed_cycle():
-        return "not a DAG: it has a directed cycle"
-    return ""
-
-
 class _Space:
     """Bundles the operator set of a search space."""
 
@@ -352,11 +340,11 @@ class _Space:
 
 _RPDAG_SPACE = _Space(enumerate_neighborhood, delta_score, _apply_inplace,
                       lambda scorer, g: scorer.score_rpdag(g),
-                      _rpdag_start_problem)
+                      PartialDag.rpdag_problem)
 _DAG_SPACE = _Space(dag_enumerate_neighborhood, dag_delta_score,
                     _dag_apply_inplace,
                     lambda scorer, g: scorer.score_dag(g),
-                    _dag_start_problem)
+                    PartialDag.dag_problem)
 
 
 def _prepare_start(dataset, start, space):
@@ -417,75 +405,54 @@ class _DeltaCache:
                 self.readers[v] = []
 
 
-def _greedy(dataset, scorer, space, start):
-    t0 = time.perf_counter()
-    g = _prepare_start(dataset, start, space)
-    total = space.initial_score(scorer, g)
-    deltas = _DeltaCache(space, scorer, g.node_count)
-    iterations = 0
-    trace = []
-    while True:
-        best_op = None
-        best_delta = IMPROVE_TOL
-        for op, d in deltas.scored(g):
-            if d > best_delta:
-                best_op, best_delta = op, d
-        if best_op is None:
-            break
-        deltas.apply(g, best_op)
-        total += best_delta
-        iterations += 1
-        trace.append((best_op, best_delta))
-    report = SearchReport(
-        best_score=total, iterations_applied=iterations,
-        best_iteration=iterations, individuals_evaluated=deltas.misses,
-        evaluated=scorer.cache.evaluated, requested=scorer.cache.requested,
-        nvars=scorer.cache.nvars,
-        wall_time_seconds=time.perf_counter() - t0,
-        edge_count=g.edge_count(), trace=trace)
-    return g, report
-
-
-def _tabu(dataset, scorer, space, start, tll, tsit):
+def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
+    """The one search loop.  Each iteration applies the best move the tabu
+    list does not block, or the best of all moves when every move is
+    blocked.  Greedy keeps no tabu list and stops before a move whose
+    delta is at most IMPROVE_TOL; its best graph is its current graph,
+    since an applied move may gain less than the score's ulp.  Tabu runs
+    tsit iterations and keeps a copy of the best graph seen."""
     n = dataset.n
-    tll = n if tll is None else tll
-    tsit = n * (n - 1) if tsit is None else tsit
-    if tll < 0 or tsit < 1:
-        raise ValueError("tabu parameters out of range")
+    if greedy:
+        tll = 0
+    else:
+        tll = n if tll is None else tll
+        tsit = n * (n - 1) if tsit is None else tsit
+        if tll < 0 or tsit < 1:
+            raise ValueError("tabu parameters out of range")
     t0 = time.perf_counter()
     g = _prepare_start(dataset, start, space)
-    total = space.initial_score(scorer, g)
-    best_graph, best_score, best_iteration = g.copy(), total, 0
+    best_graph = g if greedy else g.copy()
+    total = best_score = space.initial_score(scorer, g)
+    best_iteration = 0
     deltas = _DeltaCache(space, scorer, n)
     tabu = deque(maxlen=tll)
-    iterations = 0
     trace = []
-    for it in range(1, tsit + 1):
-        chosen = chosen_delta = None
-        fallback = fallback_delta = None
+    while greedy or len(trace) < tsit:
+        chosen = chosen_delta = fallback = fallback_delta = None
         for op, d in deltas.scored(g):
             if fallback is None or d > fallback_delta:
                 fallback, fallback_delta = op, d
-            blocked = (tll > 0 and _signature(op) in tabu
-                       and total + d <= best_score + IMPROVE_TOL)
-            if blocked:
+            if (tabu and _signature(op) in tabu
+                    and total + d <= best_score + IMPROVE_TOL):
                 continue
             if chosen is None or d > chosen_delta:
                 chosen, chosen_delta = op, d
-        if fallback is None:
-            break  # no moves at all (single-node domain)
         if chosen is None:
             chosen, chosen_delta = fallback, fallback_delta
-        if tll > 0:
-            tabu.append(_inverse_signature(chosen))
+        if chosen is None or (greedy and chosen_delta <= IMPROVE_TOL):
+            break
+        tabu.append(_inverse_signature(chosen))
         deltas.apply(g, chosen)
         total += chosen_delta
-        iterations += 1
         trace.append((chosen, chosen_delta))
-        if total > best_score + IMPROVE_TOL:
-            best_graph, best_score, best_iteration = g.copy(), total, it
+        if greedy:
+            best_score, best_iteration = total, len(trace)
+        elif total > best_score + IMPROVE_TOL:
+            best_graph, best_score = g.copy(), total
+            best_iteration = len(trace)
     report = SearchReport(
-        best_score=best_score, iterations_applied=iterations,
+        best_score=best_score, iterations_applied=len(trace),
         best_iteration=best_iteration, individuals_evaluated=deltas.misses,
         evaluated=scorer.cache.evaluated, requested=scorer.cache.requested,
         nvars=scorer.cache.nvars,
@@ -497,7 +464,7 @@ def _tabu(dataset, scorer, space, start, tll, tsit):
 def greedy_search(dataset, scorer, start=None):
     """Greedy best-improvement search over restricted PDAGs from the
     empty graph (or a given valid start)."""
-    return _greedy(dataset, scorer, _RPDAG_SPACE, start)
+    return _search(dataset, scorer, _RPDAG_SPACE, start, True)
 
 
 def tabu_search(dataset, scorer, tll=None, tsit=None, start=None):
@@ -505,14 +472,14 @@ def tabu_search(dataset, scorer, tll=None, tsit=None, start=None):
     applying the best non-forbidden move (even if it worsens the score),
     with a list of the last tll applied moves' inverses and aspiration by
     best score seen.  Defaults: tll = n, tsit = n(n-1)."""
-    return _tabu(dataset, scorer, _RPDAG_SPACE, start, tll, tsit)
+    return _search(dataset, scorer, _RPDAG_SPACE, start, False, tll, tsit)
 
 
 def dag_greedy_search(dataset, scorer, start=None):
     """Baseline greedy search over DAGs (add / delete / reverse)."""
-    return _greedy(dataset, scorer, _DAG_SPACE, start)
+    return _search(dataset, scorer, _DAG_SPACE, start, True)
 
 
 def dag_tabu_search(dataset, scorer, tll=None, tsit=None, start=None):
     """Baseline tabu search over DAGs; defaults as in tabu_search."""
-    return _tabu(dataset, scorer, _DAG_SPACE, start, tll, tsit)
+    return _search(dataset, scorer, _DAG_SPACE, start, False, tll, tsit)

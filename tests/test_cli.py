@@ -213,6 +213,66 @@ class TestCompare:
                      "--gold", reversed_gold8]) == 2
 
 
+def gold8_with_edges(path, arcs=(), links=()):
+    """gold8's variables with the given edges and no tables."""
+    doc = json.loads(open(GOLD8, encoding="utf-8").read())
+    doc["edges"] = {"arcs": list(arcs), "links": list(links)}
+    doc.pop("cpts")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestNetworkShape:
+    """A gold network must be a DAG, and a structure to score or compare
+    a DAG or a restricted PDAG; anything else is a data error (exit 2)
+    whose message names the failed check."""
+
+    SHAPES = {
+        "link cycle": ({"links": [["a", "b"], ["b", "c"], ["c", "a"]]},
+                       "it has links, and restricted-PDAG condition 3"),
+        "arc cycle": ({"arcs": [["a", "b"], ["b", "c"], ["c", "a"]]},
+                      "it has a directed cycle, and restricted-PDAG "
+                      "condition 2"),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("command", ["score", "compare"])
+    def test_net_neither_dag_nor_rpdag(self, tmp_path, gold8_csv, capsys,
+                                       command, shape):
+        edges, check = self.SHAPES[shape]
+        net = gold8_with_edges(tmp_path / "net.json", **edges)
+        other = (["--data", gold8_csv] if command == "score"
+                 else ["--gold", GOLD8])
+        assert main([command, "--net", net, *other]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {net}: structure is not a DAG")
+        assert check in err
+
+    def test_rpdag_net_accepted(self, tmp_path, gold8_csv):
+        net = gold8_with_edges(tmp_path / "net.json", links=[["a", "b"]])
+        assert main(["score", "--net", net, "--data", gold8_csv]) == 0
+        assert main(["compare", "--net", net, "--gold", GOLD8]) == 0
+
+    @pytest.mark.parametrize("edges, check", [
+        ({"links": [["a", "b"]]}, "it has links"),
+        ({"arcs": [["a", "b"], ["b", "c"], ["c", "a"]]},
+         "it has a directed cycle"),
+    ])
+    @pytest.mark.parametrize("command", ["compare", "learn"])
+    def test_gold_not_a_dag(self, tmp_path, gold8_csv, capsys, command,
+                            edges, check):
+        gold = gold8_with_edges(tmp_path / "gold.json", **edges)
+        out = tmp_path / "learned.json"
+        argv = (["compare", "--net", GOLD8] if command == "compare"
+                else ["learn", "--data", gold8_csv, "--out", str(out)])
+        assert main([*argv, "--gold", gold]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {gold}: gold network is not a "
+                              f"DAG: {check}")
+        # learn refuses the gold network before it searches or writes.
+        assert not out.exists()
+
+
 class TestCensus:
     def test_three_nodes(self, capsys):
         rc = main(["census", "--n", "3"])

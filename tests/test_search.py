@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_dataset, random_network, random_rpdag
+from conftest import (random_dag, random_dataset, random_network,
+                      random_rpdag)
 from rpdaglearn import search
 from rpdaglearn.census import enumerate_dags, group_by_rpdag_key
 from rpdaglearn.data import BayesNet, sample
@@ -166,6 +167,56 @@ class TestNeighborhoodOracle:
                 1 for op in expected if op.kind == "A_hh"
                 and g.partially_directed_reachable(op.y, op.x))
         assert skip_matters > 0
+
+
+def dag_oracle_neighborhood(g):
+    """Every add/delete/reverse candidate filtered through
+    dag_is_applicable, in tie-break order."""
+    n = g.node_count
+    candidates = [MoveOperator(kind, x, y) for kind in search.DAG_KINDS
+                  for x in range(n) for y in range(n) if x != y]
+    return sorted((op for op in candidates if dag_is_applicable(g, op)),
+                  key=MoveOperator.sort_key)
+
+
+def dag_oracle_graphs(count):
+    """Seeded random DAGs, n = 2..9: random DAGs of several densities, and
+    the ends of random add/delete/reverse walks."""
+    rng = np.random.default_rng(78)
+    graphs = []
+    while len(graphs) < count:
+        n = int(rng.integers(2, 10))
+        graphs.append(random_dag(n, rng, p=float(rng.uniform(0.1, 0.8))))
+        g = PartialDag(n)
+        for _ in range(int(rng.integers(1, 3 * n))):
+            ops = dag_enumerate_neighborhood(g)
+            g = dag_apply_operator(g, ops[int(rng.integers(len(ops)))])
+        graphs.append(g)
+    return graphs
+
+
+class TestDagNeighborhoodOracle:
+    def test_equals_filtered_candidates(self):
+        cycle_arcs = long_reversals = 0
+        for g in dag_oracle_graphs(240):
+            assert g.is_dag()
+            expected = dag_oracle_neighborhood(g)
+            assert dag_enumerate_neighborhood(g) == expected, g
+            # Additions between non-adjacent nodes refused because they
+            # would close a directed cycle.
+            n = g.node_count
+            cycle_arcs += sum(
+                1 for x in range(n) for y in range(n)
+                if x != y and not g.is_adjacent(x, y)
+                and MoveOperator("A_arc", x, y) not in expected)
+            # Reversals of x->y blocked only by a path x->c->...->y of at
+            # least three arcs.
+            long_reversals += sum(
+                1 for x, y in g.arcs()
+                if MoveOperator("R_arc", x, y) not in expected
+                and not any(y in g.ch(c) for c in g.ch(x)))
+        assert cycle_arcs > 0
+        assert long_reversals > 0
 
 
 class TestClosure:
@@ -343,6 +394,31 @@ class TestGreedy:
         with pytest.raises(GraphError):
             greedy_search(ds, Scorer(ds), start=bad)
 
+    def test_returns_current_graph_after_sub_ulp_move(self, monkeypatch,
+                                                      rng):
+        # A move that gains more than IMPROVE_TOL but less than the ulp of
+        # the total leaves the float total unchanged.  Greedy applied it,
+        # so its returned graph, best score and best iteration must still
+        # be those of the current graph.
+        add, delete = MoveOperator("A_arc", 0, 1), MoveOperator("D_arc", 0, 1)
+        gain = 5e-12
+        start_score = -1e6
+        assert start_score + gain == start_score
+        stub = search._Space(
+            neighborhood=lambda g: [delete if g.pa(1) else add],
+            delta=lambda g, op, scorer: gain if op is add else -gain,
+            apply_inplace=search._dag_apply_inplace,
+            initial_score=lambda scorer, g: start_score,
+            start_problem=PartialDag.dag_problem)
+        monkeypatch.setattr(search, "_DAG_SPACE", stub)
+        ds = random_dataset(2, 10, rng)
+        g, report = dag_greedy_search(ds, Scorer(ds))
+        assert report.trace == [(add, gain)]
+        assert list(g.arcs()) == [(0, 1)]
+        assert report.best_score == start_score + gain
+        assert report.best_iteration == report.iterations_applied == 1
+        assert report.edge_count == 1
+
     def test_dag_greedy_runs(self, rng):
         ds = random_dataset(4, 100, rng)
         h, report = dag_greedy_search(ds, Scorer(ds))
@@ -394,6 +470,22 @@ class TestTabu:
         _, g_rep = dag_greedy_search(ds, Scorer(ds))
         _, t_rep = dag_tabu_search(ds, Scorer(ds))
         assert t_rep.best_score >= g_rep.best_score - 1e-9
+
+    @pytest.mark.parametrize("space", ["rpdag", "dag"])
+    def test_returns_best_graph_not_current(self, space):
+        # From a greedy optimum no tabu move on this data beats the start,
+        # so tabu must return the start, not the graph it walked on to.
+        greedy, tabu, rescore = {
+            "rpdag": (greedy_search, tabu_search, "score_rpdag"),
+            "dag": (dag_greedy_search, dag_tabu_search, "score_dag")}[space]
+        ds = sample(five_node_net(), 300, seed=5)
+        top, _ = greedy(ds, Scorer(ds))
+        g, report = tabu(ds, Scorer(ds), tsit=6, start=top)
+        assert report.best_iteration == 0
+        assert g == top
+        assert getattr(Scorer(ds), rescore)(g) == pytest.approx(
+            report.best_score, abs=1e-9)
+        assert report.edge_count == g.edge_count()
 
     def test_parameter_validation(self, rng):
         ds = random_dataset(3, 10, rng)
