@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,10 @@ class Dataset:
             raise DataError("duplicate variable names")
         if len(self.cardinalities) != n:
             raise DataError("cardinalities/name count mismatch")
-        self.rows = np.asarray(self.rows, dtype=np.int64).reshape(-1, n)
+        # Column-major: counting reads whole columns, so each one is kept
+        # contiguous in memory.
+        self.rows = np.asfortranarray(
+            np.asarray(self.rows, dtype=np.int64).reshape(-1, n))
         if self.state_labels is None:
             self.state_labels = [[str(k) for k in range(r)]
                                  for r in self.cardinalities]
@@ -80,34 +84,34 @@ def load_csv(path, missing_token=DEFAULT_MISSING_TOKEN):
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate header names")
         raw = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} "
-                                f"fields, got {len(row)}")
+                raise DataError(f"{path}:{reader.line_num}: expected "
+                                f"{len(header)} fields, got {len(row)}")
             raw.append(row)
 
-    n = len(header)
+    n, m = len(header), len(raw)
+    rows = np.empty((m, n), dtype=np.int64, order="F")
     labels = []
-    for i in range(n):
-        tokens = {row[i] for row in raw}
-        has_missing = missing_token in tokens
+    for i, col in enumerate(zip(*raw) if raw else [()] * n):
+        tokens = set(col)
         alphabet = sorted(tokens - {missing_token})
-        if has_missing:
+        if missing_token in tokens:
             alphabet.append(missing_token)
+        index = {tok: k for k, tok in enumerate(alphabet)}
+        rows[:, i] = np.fromiter(map(index.__getitem__, col), np.int64, m)
         labels.append(alphabet)
-    index = [{tok: k for k, tok in enumerate(alpha)} for alpha in labels]
-    rows = np.array([[index[i][row[i]] for i in range(n)] for row in raw],
-                    dtype=np.int64).reshape(-1, n)
     return Dataset(list(header), [len(a) for a in labels], rows, labels)
 
 
 def save_csv(dataset, path):
+    cols = [list(map(alphabet.__getitem__, col))
+            for alphabet, col in zip(dataset.state_labels,
+                                     dataset.rows.T.tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.variable_names)
-        for row in dataset.rows:
-            writer.writerow([dataset.state_labels[i][row[i]]
-                             for i in range(dataset.n)])
+        writer.writerows(zip(*cols))
 
 
 @dataclass
@@ -160,9 +164,11 @@ def parent_configs(rows, parents, cardinalities):
     """Mixed-radix parent-configuration index of every row, the first of
     ``parents`` most significant, and the configuration count q (a Python
     int).  Callers pass the parents in ascending node order."""
-    j = np.zeros(rows.shape[0], dtype=np.int64)
-    q = 1
-    for p in parents:
+    if not parents:
+        return np.zeros(rows.shape[0], dtype=np.int64), 1
+    j = rows[:, parents[0]].astype(np.int64)
+    q = cardinalities[parents[0]]
+    for p in parents[1:]:
         r = cardinalities[p]
         j *= r
         j += rows[:, p]
@@ -172,12 +178,22 @@ def parent_configs(rows, parents, cardinalities):
 
 def family_counts(dataset, y, parents):
     """Joint counts, shape (q, r_y): row j is parent configuration j (see
-    :func:`parent_configs`), column k is state k of variable y."""
+    :func:`parent_configs`), column k is state k of variable y.
+
+    The table is dense, so a family whose q * r_y cells cannot be indexed
+    or allocated raises DataError.
+    """
     r = dataset.cardinalities[y]
-    j, q = parent_configs(dataset.rows, parents, dataset.cardinalities)
-    j *= r
-    j += dataset.rows[:, y]
-    return np.bincount(j, minlength=q * r).reshape(q, r)
+    q = math.prod(dataset.cardinalities[p] for p in parents)
+    if q * r <= np.iinfo(np.intp).max:
+        j, _ = parent_configs(dataset.rows, [*parents, y],
+                              dataset.cardinalities)
+        try:
+            return np.bincount(j, minlength=q * r).reshape(q, r)
+        except MemoryError:
+            pass
+    raise DataError(f"family of {dataset.variable_names[y]} is too wide to "
+                    f"count: q * r = {q * r} cells")
 
 
 def sample(net, m, seed):
@@ -193,7 +209,7 @@ def sample(net, m, seed):
     rng = np.random.default_rng(seed)
     order = net.structure.topological_order()
     n = net.structure.node_count
-    rows = np.zeros((m, n), dtype=np.int64)
+    rows = np.zeros((m, n), dtype=np.int64, order="F")
     for y in order:
         j, _ = parent_configs(rows, net.parents(y), net.cardinalities)
         table = net.cpts[y]

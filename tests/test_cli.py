@@ -1,5 +1,6 @@
 import json
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +33,7 @@ def gold8_csv(tmp_path_factory):
 @pytest.fixture(scope="module")
 def reversed_gold8(tmp_path_factory):
     """gold8 with its variables listed in reverse order."""
-    doc = json.loads(open(GOLD8, encoding="utf-8").read())
+    doc = json.loads(Path(GOLD8).read_text(encoding="utf-8"))
     doc["variables"].reverse()
     doc.pop("cpts")
     path = tmp_path_factory.mktemp("rev") / "gold8_reversed.json"
@@ -137,7 +138,7 @@ class TestLearn:
     ])
     def test_start_invalid_for_space(self, tmp_path, gold8_csv, capsys,
                                      space, edges, check):
-        doc = json.loads(open(GOLD8, encoding="utf-8").read())
+        doc = json.loads(Path(GOLD8).read_text(encoding="utf-8"))
         doc["edges"] = {"arcs": [], "links": [], **edges}
         doc.pop("cpts")
         start = tmp_path / "start.json"
@@ -191,6 +192,23 @@ class TestScore:
         rc = main(["score", "--net", COLLIDER, "--data", str(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize("n", [42, 66])
+    def test_family_too_wide_to_count(self, tmp_path, capsys, n):
+        names = [f"v{i}" for i in range(n)]
+        net = tmp_path / "wide.json"
+        net.write_text(json.dumps({
+            "variables": [{"name": v, "states": ["0", "1"]} for v in names],
+            "edges": {"arcs": [[v, "v0"] for v in names[1:]]}}),
+            encoding="utf-8")
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join([",".join(names), ",".join("0" * n),
+                                   ",".join("1" * n)]) + "\n",
+                        encoding="utf-8")
+        rc = main(["score", "--net", str(net), "--data", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"family of v0 is too wide to count: q * r = {2 ** n} " in err
+
 
 class TestCompare:
     def test_identical_networks(self, capsys):
@@ -215,7 +233,7 @@ class TestCompare:
 
 def gold8_with_edges(path, arcs=(), links=()):
     """gold8's variables with the given edges and no tables."""
-    doc = json.loads(open(GOLD8, encoding="utf-8").read())
+    doc = json.loads(Path(GOLD8).read_text(encoding="utf-8"))
     doc["edges"] = {"arcs": list(arcs), "links": list(links)}
     doc.pop("cpts")
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -1,4 +1,6 @@
+import csv
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +14,55 @@ from rpdaglearn.graph import PartialDag
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def load_csv_oracle(path, missing_token="?"):
+    """The per-cell decoder that load_csv replaced, kept as the reference:
+    header, alphabets and rows."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        raw = list(reader)
+    n = len(header)
+    labels = []
+    for i in range(n):
+        tokens = {row[i] for row in raw}
+        has_missing = missing_token in tokens
+        alphabet = sorted(tokens - {missing_token})
+        if has_missing:
+            alphabet.append(missing_token)
+        labels.append(alphabet)
+    index = [{tok: k for k, tok in enumerate(alpha)} for alpha in labels]
+    rows = np.array([[index[i][row[i]] for i in range(n)] for row in raw],
+                    dtype=np.int64).reshape(-1, n)
+    return header, labels, rows
+
+
+def save_csv_oracle(dataset, path):
+    """The per-row writer that save_csv replaced, kept as the reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dataset.variable_names)
+        for row in dataset.rows:
+            writer.writerow([dataset.state_labels[i][row[i]]
+                             for i in range(dataset.n)])
+
+
+# Tokens csv must quote (commas, quotes, newlines), non-ASCII ones, padding
+# and the empty field.
+AWKWARD_TOKENS = ["a", "b", "10", "9", "x,y", 'say "hi"', "two\nlines",
+                  "\u00fc", "\u65e5\u672c", " pad ", "", "NA"]
+
+
+def counts_reference(rows, y, parents, cards):
+    """Family counts by np.add.at over the mixed-radix index."""
+    j = np.zeros(rows.shape[0], dtype=np.int64)
+    for p in parents:
+        j = j * cards[p] + rows[:, p]
+    table = np.zeros((math.prod(cards[p] for p in parents), cards[y]),
+                     dtype=np.int64)
+    np.add.at(table, (j, rows[:, y]), 1)
+    return j, table
 
 
 def small_net():
@@ -63,6 +114,95 @@ class TestLoadCsv:
         assert np.array_equal(ds2.rows, ds.rows)
 
 
+    @pytest.mark.parametrize("text,line", [
+        ("a,b\n1,2\n3,4\n5\n6\n", 4),
+        ('a,b\n"x\ny",2\n5\n', 4),
+    ])
+    def test_ragged_reports_first_bad_line(self, tmp_path, text, line):
+        path = write(tmp_path / "d.csv", text)
+        with pytest.raises(DataError, match=f"d.csv:{line}: expected 2 "
+                                            f"fields, got 1"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_equals_per_cell_decoder(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        m = [0, 1, 7, 60][seed % 4]
+        n = [1, 3][seed // 4 % 2]
+        missing = ["?", "NA"][seed // 8]
+        with_missing = seed % 3 != 0
+        names = [f"v{i}" for i in range(n - 1)] + ["last, \"col\""]
+        cells = rng.choice(AWKWARD_TOKENS, size=(m, n))
+        if with_missing and m:
+            cells[rng.integers(m), :] = missing
+        else:
+            cells[cells == missing] = "a"
+        path = tmp_path / "d.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            quoting = csv.QUOTE_ALL if seed % 2 else csv.QUOTE_MINIMAL
+            writer = csv.writer(fh, quoting=quoting)
+            writer.writerow(names)
+            writer.writerows(cells.tolist())
+        ds = load_csv(path, missing)
+        header, labels, rows = load_csv_oracle(path, missing)
+        assert ds.variable_names == header == names
+        assert ds.state_labels == labels
+        assert ds.cardinalities == [len(a) for a in labels]
+        assert ds.rows.dtype == rows.dtype and ds.rows.shape == rows.shape
+        assert np.array_equal(ds.rows, rows)
+        assert (missing in labels[0]) == (with_missing and m > 0)
+
+
+class TestSaveCsv:
+    @pytest.mark.parametrize("m", [0, 1, 200])
+    def test_bytes_equal_per_row_writer(self, tmp_path, m):
+        rng = np.random.default_rng(m)
+        labels = [["?", "a,b", 'q"uote'], ["x\ny", "", "\u00e9t\u00e9", "?"],
+                  ["0"], ["plain", "with space "]]
+        rows = np.column_stack([rng.integers(len(a), size=m) for a in labels])
+        ds = Dataset(["c,1", 'c"2', "c\n3", "c4"],
+                     [len(a) for a in labels], rows, labels)
+        save_csv(ds, tmp_path / "new.csv")
+        save_csv_oracle(ds, tmp_path / "old.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        back = load_csv(tmp_path / "new.csv")
+        assert back.variable_names == ds.variable_names
+        assert ([[back.state_labels[i][k] for k in back.rows[:, i]]
+                 for i in range(ds.n)]
+                == [[ds.state_labels[i][k] for k in ds.rows[:, i]]
+                    for i in range(ds.n)])
+
+
+class TestColumnMajor:
+    """Dataset rows are stored once, column-major, as int64."""
+
+    @staticmethod
+    def assert_column_major(ds, shape):
+        assert ds.rows.dtype == np.int64
+        assert ds.rows.shape == shape
+        assert ds.rows.flags.f_contiguous
+
+    def test_list_input(self):
+        ds = Dataset(["a", "b", "c"], [2, 3, 2], [[0, 2, 1], [1, 0, 0]])
+        self.assert_column_major(ds, (2, 3))
+        assert ds.rows.tolist() == [[0, 2, 1], [1, 0, 0]]
+
+    def test_c_order_input(self):
+        rows = np.ascontiguousarray([[0, 2, 1], [1, 0, 0], [1, 1, 1]],
+                                    dtype=np.int32)
+        ds = Dataset(["a", "b", "c"], [2, 3, 2], rows)
+        self.assert_column_major(ds, (3, 3))
+        assert np.array_equal(ds.rows, rows)
+
+    def test_sample(self):
+        self.assert_column_major(sample(small_net(), 40, seed=1), (40, 2))
+
+    def test_load_csv(self, tmp_path):
+        ds = load_csv(write(tmp_path / "d.csv", "u,v,w\na,0,x\nb,?,y\n"))
+        self.assert_column_major(ds, (2, 3))
+
+
 class TestCounting:
     def test_first_parent_most_significant(self):
         rows = np.array([[0, 2, 1], [1, 0, 0], [1, 2, 1]])
@@ -76,6 +216,28 @@ class TestCounting:
         assert family_counts(ds, 0, []).tolist() == [[1, 3]]
         empty = Dataset(["a", "b"], [2, 3], np.zeros((0, 2)))
         assert family_counts(empty, 1, [0]).tolist() == [[0] * 3] * 2
+
+    @pytest.mark.parametrize("m", [0, 1, 37, 500])
+    def test_equal_to_reference_in_either_layout(self, m):
+        rng = np.random.default_rng(m)
+        cards = [1, 2, 3, 4, 2, 3]
+        c_rows = np.ascontiguousarray(
+            np.column_stack([rng.integers(r, size=m) for r in cards]))
+        names = [f"v{i}" for i in range(len(cards))]
+        for rows in (c_rows, np.asfortranarray(c_rows)):
+            ds = Dataset(names, cards, rows)
+            for y in range(len(cards)):
+                others = [v for v in range(len(cards)) if v != y]
+                for k in range(5):
+                    for parents in map(list, itertools.combinations(others, k)):
+                        j_ref, ref = counts_reference(rows, y, parents, cards)
+                        j, q = parent_configs(rows, parents, cards)
+                        assert np.array_equal(j, j_ref)
+                        assert q == ref.shape[0]
+                        table = family_counts(ds, y, parents)
+                        assert table.dtype == ref.dtype
+                        assert table.shape == ref.shape
+                        assert np.array_equal(table, ref)
 
 
 class TestSample:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import bdeu_sequential_oracle, random_dataset, random_rpdag
 from rpdaglearn.census import enumerate_dags
-from rpdaglearn.data import Dataset
+from rpdaglearn.data import DataError, Dataset
 from rpdaglearn.graph import GraphError, PartialDag
 from rpdaglearn.scoring import (LocalScoreCache, Scorer, bdeu_local,
                                 bic_local, count_statistics, kl_fit_term,
@@ -43,6 +43,15 @@ class TestCountStatistics:
         ds = dataset_from([2, 2], [[0, 0]])
         with pytest.raises(GraphError):
             count_statistics(ds, 0, [0, 1])
+
+    @pytest.mark.parametrize("n", [42, 66])
+    def test_family_too_wide_to_count(self, n):
+        # Binary child with n - 1 binary parents: 2**42 cells (32 TiB) cannot
+        # be allocated, and 2**66 cannot even be indexed.
+        ds = dataset_from([2] * n, [[0] * n, [1] * n])
+        with pytest.raises(DataError, match=rf"family of v0 is too wide to "
+                                            rf"count: q \* r = {2 ** n} "):
+            count_statistics(ds, 0, range(1, n))
 
 
 class TestBdeuLocal:
