@@ -81,6 +81,8 @@ def load_csv(path, missing_token=DEFAULT_MISSING_TOKEN):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        if not header:
+            raise DataError(f"{path}: header has no fields")
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate header names")
         raw = []

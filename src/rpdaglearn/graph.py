@@ -284,9 +284,10 @@ class PartialDag:
     def complete_cascade(self, y):
         """Direct all links away from y, in cascade (in place).
 
-        Called after y acquires its first parent(s): every link y-t becomes
-        the arc y->t, and every node that thereby gains a parent fires in
-        turn, until no node has both a parent and a neighbor.
+        Called after y gains a parent: every link y-t becomes the arc
+        y->t, and every node that thereby gains a parent fires in turn,
+        until no node has both a parent and a neighbor.  A no-op when y has
+        no parent or no link.
         """
         pending = deque([y])
         while pending:
@@ -300,12 +301,13 @@ class PartialDag:
         return self
 
     def undo_cascade(self, y):
-        """Convert arcs back into links after an arc into y was deleted.
+        """Convert arcs back into links after an arc into y was deleted
+        (or, from :meth:`reduce_to_rpdag`, below a parentless y).
 
         Restores condition 4: with |Pa(y)| now 0 or 1, the remaining
         single parent u of y is undirected when Pa(u) is empty, and every
         child chain hanging off a now-parentless node whose only parent it
-        was is undirected recursively.
+        was is undirected recursively.  A no-op when |Pa(y)| > 1.
         """
         if len(self._pa[y]) > 1:
             return self
@@ -329,7 +331,8 @@ class PartialDag:
     def reduce_to_rpdag(self):
         """Return the unique restricted PDAG with the same skeleton and
         head-to-head patterns, obtained by undirecting every arc x->y with
-        Pa(x) empty and Pa(y) = {x}.
+        Pa(x) empty and Pa(y) = {x}: the undo cascade from each node that
+        has no parent.
 
         The input must satisfy conditions 1-3 (no parent-with-neighbor
         node, no directed cycle, no completely undirected cycle).
@@ -338,14 +341,9 @@ class PartialDag:
         if bad:
             raise GraphError(f"input violates conditions {bad}")
         g = self.copy()
-        changed = True
-        while changed:
-            changed = False
-            for x, y in sorted(g.arcs()):
-                if not g._pa[x] and g._pa[y] == {x}:
-                    g.remove_arc(x, y)
-                    g.add_link(x, y)
-                    changed = True
+        for y in range(self.node_count):
+            if not self._pa[y]:
+                g.undo_cascade(y)
         return g
 
     # -- chain components and extension -----------------------------------
@@ -391,20 +389,16 @@ class PartialDag:
             raise GraphError("extend requires a restricted PDAG")
         g = self.copy()
         for comp in self.chain_components():
-            if len(comp) == 1:
-                continue
+            # Nodes with links have no parent (condition 1), so once the
+            # root's links point away from it, the completion cascade from
+            # each of its neighbours orients the rest of the tree.
             root = min(comp)
-            queue = deque([root])
-            done = {root}
-            while queue:
-                u = queue.popleft()
-                for t in sorted(g._ne[u]):
-                    if t in done:
-                        continue
-                    g.remove_link(u, t)
-                    g.add_arc(u, t)
-                    done.add(t)
-                    queue.append(t)
+            neighbours = list(g._ne[root])
+            for t in neighbours:
+                g.remove_link(root, t)
+                g.add_arc(root, t)
+            for t in neighbours:
+                g.complete_cascade(t)
         return g
 
     def topological_order(self):

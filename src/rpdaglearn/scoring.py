@@ -56,15 +56,24 @@ def count_statistics(dataset, y, parents):
     return ContingencyTable(counts, dataset.cardinalities[y], counts.shape[0])
 
 
+def _check_ess(ess):
+    # A NaN ess would make every BDeu delta NaN, and greedy never stop.
+    if not (math.isfinite(ess) and ess > 0):
+        raise ValueError(f"ess must be finite and positive, got {ess}")
+
+
 def bdeu_local(table, ess, prior="uniform"):
     """BDeu family score: log marginal likelihood under a Dirichlet prior
     with total equivalent sample size ``ess`` split uniformly, plus the
-    log structure-prior contribution of this family."""
-    if ess <= 0:
-        raise ValueError("ess must be positive")
+    log structure-prior contribution of this family.  A family with no
+    child states or no parent configurations (only possible on empty
+    data) has no rows and no parameters, and scores 0."""
+    _check_ess(ess)
     if prior not in PRIOR_IDS:
         raise ValueError(f"unknown prior {prior!r}")
     r, q = table.r_child, table.q
+    if r * q == 0:
+        return 0.0
     a_jk = ess / (r * q)
     a_j = ess / q
     nj = table.marginals
@@ -119,8 +128,7 @@ class Scorer:
             raise ValueError(f"unknown score {score!r}")
         if prior not in PRIOR_IDS:
             raise ValueError(f"unknown prior {prior!r}")
-        if ess <= 0:
-            raise ValueError("ess must be positive")
+        _check_ess(ess)
         self.dataset = dataset
         self.score = score
         self.ess = ess

@@ -20,7 +20,6 @@ from .graph import GraphError, PartialDag
 
 IMPROVE_TOL = 1e-12
 
-RPDAG_KINDS = ("A_link", "A_arc", "A_hh", "D_arc", "D_link")
 DAG_KINDS = ("A_arc", "D_arc", "R_arc")
 _KIND_ORDER = {"A_link": 0, "A_arc": 1, "A_hh": 2, "D_arc": 3,
                "D_link": 4, "R_arc": 5}
@@ -106,26 +105,21 @@ def is_applicable(g, op):
 
 
 def _apply_inplace(g, op):
+    """Apply an applicable operator in place, cascades included."""
     x, y, z = op.x, op.y, op.z
     if op.kind == "A_link":
         g.add_link(x, y)
     elif op.kind == "A_arc":
-        complete = bool(g.pa(x)) and bool(g.ne(y))
         g.add_arc(x, y)
-        if complete:
-            g.complete_cascade(y)
+        g.complete_cascade(y)
     elif op.kind == "A_hh":
-        complete = len(g.ne(y)) >= 2
         g.remove_link(y, z)
         g.add_arc(z, y)
         g.add_arc(x, y)
-        if complete:
-            g.complete_cascade(y)
+        g.complete_cascade(y)
     elif op.kind == "D_arc":
-        undo = len(g.pa(y)) <= 2
         g.remove_arc(x, y)
-        if undo:
-            g.undo_cascade(y)
+        g.undo_cascade(y)
     elif op.kind == "D_link":
         g.remove_link(x, y)
     else:
@@ -142,7 +136,7 @@ def apply_operator(g, op):
 
 
 def delta_score(g, op, scorer):
-    """Score change of an applicable operator, from two local scores."""
+    """Score change of an applicable operator in either space."""
     x, y, z = op.x, op.y, op.z
     local = scorer.local
     if op.kind == "A_link":
@@ -157,6 +151,10 @@ def delta_score(g, op, scorer):
     if op.kind == "D_arc":
         pa = g.pa(y)
         return local(y, pa - {x}) - local(y, pa)
+    if op.kind == "R_arc":
+        pay, pax = g.pa(y), g.pa(x)
+        return (local(y, pay - {x}) - local(y, pay)
+                + local(x, pax | {y}) - local(x, pax))
     raise GraphError(f"unknown operator kind {op.kind!r}")
 
 
@@ -265,17 +263,6 @@ def dag_apply_operator(g, op):
     return _dag_apply_inplace(g.copy(), op)
 
 
-def dag_delta_score(g, op, scorer):
-    if op.kind in ("A_arc", "D_arc"):
-        return delta_score(g, op, scorer)
-    if op.kind == "R_arc":
-        x, y, local = op.x, op.y, scorer.local
-        pay, pax = g.pa(y), g.pa(x)
-        return (local(y, pay - {x}) - local(y, pay)
-                + local(x, pax | {y}) - local(x, pax))
-    raise GraphError(f"unknown DAG operator kind {op.kind!r}")
-
-
 def dag_enumerate_neighborhood(g):
     """All applicable add/delete/reverse moves on the DAG g, in
     tie-break order.
@@ -341,7 +328,7 @@ class _Space:
 _RPDAG_SPACE = _Space(enumerate_neighborhood, delta_score, _apply_inplace,
                       lambda scorer, g: scorer.score_rpdag(g),
                       PartialDag.rpdag_problem)
-_DAG_SPACE = _Space(dag_enumerate_neighborhood, dag_delta_score,
+_DAG_SPACE = _Space(dag_enumerate_neighborhood, delta_score,
                     _dag_apply_inplace,
                     lambda scorer, g: scorer.score_dag(g),
                     PartialDag.dag_problem)

@@ -17,8 +17,8 @@ from rpdaglearn.evaluation import hamming
 from rpdaglearn.graph import PartialDag, is_extension
 from rpdaglearn.scoring import Scorer, bdeu_local, count_statistics
 from rpdaglearn.search import (MoveOperator, apply_operator,
-                               dag_apply_operator, dag_delta_score,
-                               dag_is_applicable, delta_score,
+                               dag_apply_operator, dag_is_applicable,
+                               delta_score,
                                dag_greedy_search, enumerate_neighborhood,
                                greedy_search, tabu_search)
 
@@ -112,7 +112,7 @@ class TestCriterion3DeltaScores:
                 continue
             ds = random_dataset(n, int(rng.integers(5, 201)), rng)
             scorer = Scorer(ds)
-            d = dag_delta_score(h, op, scorer)
+            d = delta_score(h, op, scorer)
             full = (scorer.score_dag(dag_apply_operator(h, op))
                     - scorer.score_dag(h))
             err = abs(d - full)

@@ -291,6 +291,42 @@ class TestNetworkShape:
         assert not out.exists()
 
 
+class TestInputEdgeCases:
+    def test_score_non_finite_ess(self, sampled_csv, capsys):
+        assert main(["score", "--data", sampled_csv, "--net", COLLIDER,
+                     "--ess", "nan"]) == 1
+        assert "ess must be finite" in capsys.readouterr().err
+
+    def test_non_utf8_data_file(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"a,b\n\xff,1\n")
+        assert main(["learn", "--data", str(data),
+                     "--out", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_non_utf8_network_file(self, tmp_path, sampled_csv, capsys):
+        net = tmp_path / "n.json"
+        net.write_bytes(b'{"variables": ["\xff"]}')
+        assert main(["score", "--data", sampled_csv, "--net", str(net)]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_header_only_learns_empty_graph(self, tmp_path, capsys):
+        data, out = tmp_path / "d.csv", tmp_path / "out.json"
+        data.write_text("a,b\n", encoding="utf-8")
+        assert main(["learn", "--data", str(data), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["edges"] == {"arcs": [], "links": []}
+        assert main(["score", "--data", str(data), "--net", str(out)]) == 0
+        assert last_row(capsys) == ["0.00000", "0.00000", "0", "0"]
+
+    def test_header_without_fields(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("\n", encoding="utf-8")
+        assert main(["learn", "--data", str(data),
+                     "--out", str(tmp_path / "out.json")]) == 2
+        assert "d.csv: header has no fields" in capsys.readouterr().err
+
+
 class TestCensus:
     def test_three_nodes(self, capsys):
         rc = main(["census", "--n", "3"])
@@ -316,6 +352,9 @@ class TestUsage:
         ["learn", "--strategy", "tabu", "--tabu-iters", "0"],
         ["learn", "--strategy", "tabu", "--tabu-len", "-1"],
         ["sample", "--n", "-3"],
+        # A bounded tabu run, so a learner that took a NaN ess would
+        # finish (greedy would never stop) and fail the test.
+        ["learn", "--ess", "nan", "--strategy", "tabu", "--tabu-iters", "1"],
     ])
     def test_out_of_range_option_values(self, tmp_path, sampled_csv,
                                         capsys, command):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import extension_by_definition, random_rpdag
+from conftest import extension_by_definition, random_dag, random_rpdag
 from rpdaglearn.census import census, enumerate_dags, group_by_rpdag_key
 from rpdaglearn.graph import GraphError, PartialDag, is_extension
 
@@ -187,6 +187,35 @@ class TestExtend:
             assert h.is_dag()
             assert is_extension(r, h)
             assert extension_by_definition(r, h)
+
+
+def random_dags_beyond_census(count=240, seed=6012):
+    """Seeded random DAGs with 6-12 nodes and arc densities 0.1-0.6."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(6, 13))
+        yield random_dag(n, rng, p=float(rng.uniform(0.1, 0.6)))
+
+
+class TestReduceExtendProperties:
+    # Checked only against characterisations that do not orient anything:
+    # the extension tests, the equivalence key and the rooting rule.
+
+    def test_reduce_gives_a_restricted_pdag_extended_by_the_dag(self):
+        for h in random_dags_beyond_census():
+            r = h.reduce_to_rpdag()
+            assert r.is_rpdag(), h
+            assert is_extension(r, h), h
+            assert extension_by_definition(r, h), h
+            assert r.reduce_to_rpdag() == r, h
+
+    def test_extend_is_equivalent_and_rooted_at_component_minima(self):
+        for h in random_dags_beyond_census():
+            r = h.reduce_to_rpdag()
+            e = r.extend()
+            assert e.equivalence_key() == h.equivalence_key(), h
+            for comp in r.chain_components():
+                assert not e.pa(min(comp)) & comp, (r, comp)
 
 
 class TestIsExtension:

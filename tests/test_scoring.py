@@ -88,6 +88,23 @@ class TestBdeuLocal:
         with pytest.raises(ValueError):
             bdeu_local(table, 0.0)
 
+    @pytest.mark.parametrize("ess", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_ess(self, ess):
+        ds = dataset_from([2], [[0]])
+        with pytest.raises(ValueError, match="finite and positive"):
+            bdeu_local(count_statistics(ds, 0, []), ess)
+        with pytest.raises(ValueError, match="finite and positive"):
+            Scorer(ds, "bdeu", ess=ess)
+
+    def test_family_without_states_scores_zero(self):
+        # A header-only CSV gives variables with no states: r = 0, and
+        # q = 0 as soon as there is a parent.
+        ds = dataset_from([0, 0], np.zeros((0, 2)))
+        for parents in ([], [1]):
+            table = count_statistics(ds, 0, parents)
+            for prior in ("uniform", "param-penalty"):
+                assert bdeu_local(table, 1.0, prior) == 0.0
+
 
 class TestBicLocal:
     def test_known_value(self):

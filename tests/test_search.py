@@ -9,7 +9,7 @@ from rpdaglearn.data import BayesNet, sample
 from rpdaglearn.graph import GraphError, PartialDag, is_extension
 from rpdaglearn.scoring import Scorer
 from rpdaglearn.search import (MoveOperator, apply_operator,
-                               dag_apply_operator, dag_delta_score,
+                               dag_apply_operator,
                                dag_enumerate_neighborhood, dag_greedy_search,
                                dag_is_applicable, dag_tabu_search,
                                delta_score, enumerate_neighborhood,
@@ -231,6 +231,27 @@ class TestClosure:
                 h = apply_operator(g, op)
                 assert h.is_rpdag(), (g, op, h)
 
+    def test_random_walks_beyond_census(self):
+        # Every move on 6-12 nodes keeps the restricted form and changes
+        # exactly the moved pair, with the edge the operator names.
+        rng = np.random.default_rng(7013)
+        for _ in range(60):
+            g = random_rpdag(int(rng.integers(6, 13)), rng,
+                             p=float(rng.uniform(0.1, 0.5)))
+            for _ in range(15):
+                ops = enumerate_neighborhood(g)
+                op = ops[int(rng.integers(len(ops)))]
+                h = apply_operator(g, op)
+                assert h.is_rpdag(), (g, op, h)
+                pair = {(min(op.x, op.y), max(op.x, op.y))}
+                assert h.skeleton() ^ g.skeleton() == pair, (g, op, h)
+                if op.kind == "A_link":
+                    assert op.x in h.ne(op.y)
+                elif op.kind in ("A_arc", "A_hh"):
+                    assert op.x in h.pa(op.y)
+                    assert op.z is None or op.z in h.pa(op.y)
+                g = h
+
     def test_input_untouched(self):
         g = g_from(3, links=[(0, 1)])
         before = g.copy()
@@ -314,7 +335,7 @@ class TestDeltaScore:
         h = g_from(4, arcs=[(0, 1), (1, 2), (0, 3)])
         op = MoveOperator("R_arc", 1, 2)
         assert dag_is_applicable(h, op)
-        d = dag_delta_score(h, op, scorer)
+        d = delta_score(h, op, scorer)
         full = scorer.score_dag(dag_apply_operator(h, op)) - scorer.score_dag(h)
         assert d == pytest.approx(full, abs=1e-9)
 
