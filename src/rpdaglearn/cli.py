@@ -236,10 +236,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    # A file that is not UTF-8 is bad data, although UnicodeDecodeError is
-    # a ValueError, so this clause comes first.
-    except (data_mod.DataError, StartError, OSError,
-            UnicodeDecodeError) as exc:
+    except (data_mod.DataError, StartError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (UsageError, ValueError) as exc:

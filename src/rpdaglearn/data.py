@@ -9,7 +9,9 @@ conditional probability tables.
 
 from __future__ import annotations
 
+import collections
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,6 +22,8 @@ from .graph import GraphError, PartialDag
 
 CPT_ROW_TOL = 1e-9
 DEFAULT_MISSING_TOKEN = "?"
+CSV_BLOCK_ROWS = 4096  # records decoded at a time by load_csv
+_INT32_IDS = 2 ** 31   # token ids below this fit int32
 
 
 class DataError(Exception):
@@ -75,35 +79,74 @@ def load_csv(path, missing_token=DEFAULT_MISSING_TOKEN):
     Each column's alphabet is its set of distinct tokens, sorted; the
     missing token becomes an ordinary extra state, placed last.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if not header:
-            raise DataError(f"{path}: header has no fields")
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate header names")
-        raw = []
-        for row in reader:
-            if len(row) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: expected "
-                                f"{len(header)} fields, got {len(row)}")
-            raw.append(row)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header, ids, tokens = _token_ids(reader, path)
+            except csv.Error as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc})") from None
 
-    n, m = len(header), len(raw)
+    m, n = ids.shape
     rows = np.empty((m, n), dtype=np.int64, order="F")
     labels = []
-    for i, col in enumerate(zip(*raw) if raw else [()] * n):
-        tokens = set(col)
-        alphabet = sorted(tokens - {missing_token})
-        if missing_token in tokens:
-            alphabet.append(missing_token)
-        index = {tok: k for k, tok in enumerate(alphabet)}
-        rows[:, i] = np.fromiter(map(index.__getitem__, col), np.int64, m)
-        labels.append(alphabet)
+    # Token id -> state index in the column at hand; only the ids present
+    # in that column are written and read.
+    lookup = np.empty(len(tokens), dtype=np.int64)
+    for i in range(n):
+        col = ids[:, i]
+        order = sorted(np.flatnonzero(np.bincount(col)).tolist(),
+                       key=lambda k: (tokens[k] == missing_token, tokens[k]))
+        lookup[order] = np.arange(len(order))
+        rows[:, i] = lookup[col]
+        labels.append([tokens[k] for k in order])
     return Dataset(list(header), [len(a) for a in labels], rows, labels)
+
+
+def _token_ids(reader, path):
+    """Header, the file-wide token id of every cell as an (m, n) array in
+    record order, and the tokens in id order.
+
+    Records are decoded CSV_BLOCK_ROWS at a time, so the file is never
+    held as Python rows; each block's cells map to ids in one C-level pass.
+    """
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if not header:
+        raise DataError(f"{path}: header has no fields")
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate header names")
+    n = len(header)
+    token_id = collections.defaultdict(itertools.count().__next__)
+    blocks = []
+    while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
+        if any(map(n.__ne__, map(len, block))):
+            raise DataError(_ragged_record(path, n))
+        size = len(block) * n
+        # Ids count up from 0, so none can exceed the cells read so far;
+        # a block that could pass int32 is stored as int64 instead.
+        dtype = np.int32 if len(token_id) + size <= _INT32_IDS else np.int64
+        blocks.append(np.fromiter(
+            map(token_id.__getitem__, itertools.chain.from_iterable(block)),
+            dtype, size))
+    ids = np.concatenate(blocks) if blocks else np.empty(0, np.int32)
+    return header, ids.reshape(-1, n), list(token_id)
+
+
+def _ragged_record(path, n):
+    """Message naming the last physical line of the first record of
+    ``path`` that does not have n fields.  Only this error path re-reads
+    the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if len(row) != n:
+                return (f"{path}:{reader.line_num}: expected {n} fields, "
+                        f"got {len(row)}")
+    return f"{path}: changed while it was read"
 
 
 def save_csv(dataset, path):
@@ -277,6 +320,8 @@ def load_network(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc})") from None
     try:
         names = [v["name"] for v in doc["variables"]]
         states = [list(v["states"]) for v in doc["variables"]]

@@ -1,3 +1,4 @@
+import csv
 import json
 from importlib.resources import files
 from pathlib import Path
@@ -302,13 +303,27 @@ class TestInputEdgeCases:
         data.write_bytes(b"a,b\n\xff,1\n")
         assert main(["learn", "--data", str(data),
                      "--out", str(tmp_path / "out.json")]) == 2
-        assert capsys.readouterr().err.startswith("data error:")
+        assert capsys.readouterr().err.startswith(
+            f"data error: {data}: not UTF-8 ('utf-8' codec can't decode "
+            f"byte 0xff")
 
     def test_non_utf8_network_file(self, tmp_path, sampled_csv, capsys):
         net = tmp_path / "n.json"
         net.write_bytes(b'{"variables": ["\xff"]}')
         assert main(["score", "--data", sampled_csv, "--net", str(net)]) == 2
-        assert capsys.readouterr().err.startswith("data error:")
+        assert capsys.readouterr().err.startswith(
+            f"data error: {net}: not UTF-8 ('utf-8' codec can't decode "
+            f"byte 0xff")
+
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n1,2\n3," + "x" * (csv.field_size_limit() + 1)
+                        + "\n", encoding="utf-8")
+        assert main(["learn", "--data", str(data),
+                     "--out", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {data}:3: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
 
     def test_header_only_learns_empty_graph(self, tmp_path, capsys):
         data, out = tmp_path / "d.csv", tmp_path / "out.json"

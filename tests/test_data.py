@@ -1,13 +1,18 @@
 import csv
 import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rpdaglearn.data import (BayesNet, DataError, Dataset, family_counts,
-                             fit_parameters, load_csv, load_network,
-                             parent_configs, sample, save_csv, save_network)
+from conftest import random_network
+from rpdaglearn import data
+from rpdaglearn.data import (CSV_BLOCK_ROWS, BayesNet, DataError, Dataset,
+                             family_counts, fit_parameters, load_csv,
+                             load_network, parent_configs, sample, save_csv,
+                             save_network)
 from rpdaglearn.graph import PartialDag
 
 
@@ -36,6 +41,24 @@ def load_csv_oracle(path, missing_token="?"):
     rows = np.array([[index[i][row[i]] for i in range(n)] for row in raw],
                     dtype=np.int64).reshape(-1, n)
     return header, labels, rows
+
+
+def assert_decodes_like_oracle(path, names, cells, missing,
+                               quoting=csv.QUOTE_MINIMAL):
+    """Write ``cells`` under ``names``, check that load_csv decodes them
+    as load_csv_oracle does, and return the alphabets."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=quoting)
+        writer.writerow(names)
+        writer.writerows(cells.tolist())
+    ds = load_csv(path, missing)
+    header, labels, rows = load_csv_oracle(path, missing)
+    assert ds.variable_names == header == names
+    assert ds.state_labels == labels
+    assert ds.cardinalities == [len(a) for a in labels]
+    assert ds.rows.dtype == rows.dtype and ds.rows.shape == rows.shape
+    assert np.array_equal(ds.rows, rows)
+    return labels
 
 
 def save_csv_oracle(dataset, path):
@@ -117,6 +140,9 @@ class TestLoadCsv:
     @pytest.mark.parametrize("text,line", [
         ("a,b\n1,2\n3,4\n5\n6\n", 4),
         ('a,b\n"x\ny",2\n5\n', 4),
+        # In the second block, after a record spanning two lines.
+        ("a,b\n" + "1,2\n" * CSV_BLOCK_ROWS + '"x\ny",2\n5\n',
+         CSV_BLOCK_ROWS + 4),
     ])
     def test_ragged_reports_first_bad_line(self, tmp_path, text, line):
         path = write(tmp_path / "d.csv", text)
@@ -137,20 +163,56 @@ class TestLoadCsv:
             cells[rng.integers(m), :] = missing
         else:
             cells[cells == missing] = "a"
-        path = tmp_path / "d.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            quoting = csv.QUOTE_ALL if seed % 2 else csv.QUOTE_MINIMAL
-            writer = csv.writer(fh, quoting=quoting)
-            writer.writerow(names)
-            writer.writerows(cells.tolist())
-        ds = load_csv(path, missing)
-        header, labels, rows = load_csv_oracle(path, missing)
-        assert ds.variable_names == header == names
-        assert ds.state_labels == labels
-        assert ds.cardinalities == [len(a) for a in labels]
-        assert ds.rows.dtype == rows.dtype and ds.rows.shape == rows.shape
-        assert np.array_equal(ds.rows, rows)
+        quoting = csv.QUOTE_ALL if seed % 2 else csv.QUOTE_MINIMAL
+        labels = assert_decodes_like_oracle(tmp_path / "d.csv", names, cells,
+                                            missing, quoting)
         assert (missing in labels[0]) == (with_missing and m > 0)
+
+    @pytest.mark.parametrize("m", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                   CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1])
+    def test_block_boundaries(self, tmp_path, m):
+        rng = np.random.default_rng(m)
+        cells = rng.choice(AWKWARD_TOKENS, size=(m, 3)).astype(object)
+        # A token, and the missing token, first seen in the last block.
+        cells[-1, :2] = "late", "?"
+        labels = assert_decodes_like_oracle(tmp_path / "d.csv",
+                                            ["a", "b", "c"], cells, "?")
+        assert "late" in labels[0] and labels[1][-1] == "?"
+
+    def test_ids_widen_past_int32(self, tmp_path, monkeypatch):
+        # With the int32 limit lowered to one block of distinct tokens,
+        # the first block's ids just fit int32 and every later block's
+        # are int64.
+        monkeypatch.setattr(data, "_INT32_IDS", CSV_BLOCK_ROWS)
+        dtypes, fromiter = [], np.fromiter
+
+        def spy(iterable, dtype, count):
+            dtypes.append(np.dtype(dtype))
+            return fromiter(iterable, dtype, count)
+
+        monkeypatch.setattr(np, "fromiter", spy)
+        cells = np.arange(2 * CSV_BLOCK_ROWS + 1).astype(str)[:, None]
+        assert_decodes_like_oracle(tmp_path / "d.csv", ["a"], cells, "?")
+        assert dtypes == [np.int32, np.int64, np.int64]
+
+    def test_peak_memory(self, tmp_path):
+        # Derived bound: the token ids (4 bytes a cell, half of the int64
+        # rows), the rows themselves, two int64 columns of temporaries
+        # while one column is remapped, and one block of records (the
+        # sampled labels are one-character strings, which CPython shares
+        # rather than allocates).
+        path, n = tmp_path / "d.csv", 10
+        save_csv(sample(random_network(n, 5), 20000, seed=5), path)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = ds.rows.nbytes
+        bound = (size // 2 + size + 2 * 8 * ds.m
+                 + CSV_BLOCK_ROWS * sys.getsizeof([None] * n))
+        assert peak <= bound, (peak / size, bound / size)
 
 
 class TestSaveCsv:
