@@ -40,6 +40,8 @@ def _check_output_path(path):
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise UsageError(f"output directory does not exist: {parent}")
+    if os.path.isdir(path):
+        raise UsageError(f"output path is a directory: {path}")
 
 
 def _print_table(record):

@@ -24,6 +24,7 @@ CPT_ROW_TOL = 1e-9
 DEFAULT_MISSING_TOKEN = "?"
 CSV_BLOCK_ROWS = 4096  # records decoded at a time by load_csv
 _INT32_IDS = 2 ** 31   # token ids below this fit int32
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
 
 
 class DataError(Exception):
@@ -40,23 +41,12 @@ class Dataset:
     state_labels: list = field(default=None)
 
     def __post_init__(self):
-        n = len(self.variable_names)
-        if len(set(self.variable_names)) != n:
-            raise DataError("duplicate variable names")
-        if len(self.cardinalities) != n:
-            raise DataError("cardinalities/name count mismatch")
+        self.state_labels = _checked_labels(
+            self.variable_names, self.cardinalities, self.state_labels)
         # Column-major: counting reads whole columns, so each one is kept
         # contiguous in memory.
         self.rows = np.asfortranarray(
-            np.asarray(self.rows, dtype=np.int64).reshape(-1, n))
-        if self.state_labels is None:
-            self.state_labels = [[str(k) for k in range(r)]
-                                 for r in self.cardinalities]
-        for i, r in enumerate(self.cardinalities):
-            if self.m > 0 and r < 1:
-                raise DataError(f"variable {self.variable_names[i]} has no states")
-            if len(self.state_labels[i]) != r:
-                raise DataError("state label count mismatch")
+            np.asarray(self.rows, dtype=np.int64).reshape(-1, self.n))
         if self.m > 0:
             for i, r in enumerate(self.cardinalities):
                 col = self.rows[:, i]
@@ -71,6 +61,21 @@ class Dataset:
     @property
     def m(self):
         return self.rows.shape[0]
+
+
+def _checked_labels(names, cardinalities, state_labels):
+    """State labels of a variable list with unique names, each with one
+    cardinality r and r distinct labels ("0" ... "r-1" if none given)."""
+    if state_labels is None:
+        state_labels = [[str(k) for k in range(r)] for r in cardinalities]
+    if len(set(names)) != len(names):
+        raise DataError("duplicate variable names")
+    if not len(names) == len(cardinalities) == len(state_labels):
+        raise DataError("variable list lengths differ")
+    for name, r, labels in zip(names, cardinalities, state_labels):
+        if len(labels) != r or len(set(labels)) != r:
+            raise DataError(f"variable {name} needs {r} distinct labels")
+    return state_labels
 
 
 def load_csv(path, missing_token=DEFAULT_MISSING_TOKEN):
@@ -177,28 +182,27 @@ class BayesNet:
     state_labels: list = field(default=None)
 
     def __post_init__(self):
+        self.state_labels = _checked_labels(
+            self.variable_names, self.cardinalities, self.state_labels)
         n = len(self.variable_names)
         if self.structure.node_count != n:
             raise DataError("structure/variable count mismatch")
-        if self.state_labels is None:
-            self.state_labels = [[str(k) for k in range(r)]
-                                 for r in self.cardinalities]
         if self.cpts is not None:
             if not self.structure.is_dag():
                 raise DataError("parameterized network must be a DAG")
             if len(self.cpts) != n:
                 raise DataError("one table per variable required")
-            no_rows = np.zeros((0, n), dtype=np.int64)
-            for y in range(n):
+            for y, name in enumerate(self.variable_names):
                 table = np.asarray(self.cpts[y], dtype=float)
-                q = parent_configs(no_rows, self.parents(y),
-                                   self.cardinalities)[1]
+                q = math.prod(self.cardinalities[p] for p in self.parents(y))
                 if table.shape != (q, self.cardinalities[y]):
                     raise DataError(f"table shape mismatch for variable "
-                                    f"{self.variable_names[y]}: {table.shape}")
-                if np.any(np.abs(table.sum(axis=1) - 1.0) > CPT_ROW_TOL):
-                    raise DataError(f"rows of table for "
-                                    f"{self.variable_names[y]} do not sum to 1")
+                                    f"{name}: {table.shape}")
+                # A NaN fails both comparisons.
+                if not (np.all(table >= 0) and np.all(
+                        np.abs(table.sum(axis=1) - 1.0) <= CPT_ROW_TOL)):
+                    raise DataError(f"rows of table for {name} must be "
+                                    f"non-negative and sum to 1")
                 self.cpts[y] = table
 
     def parents(self, y):
@@ -295,20 +299,16 @@ def fit_parameters(structure, dataset, smoothing=1.0):
 
 
 def save_network(net, path):
+    names = net.variable_names
     doc = {
-        "variables": [{"name": net.variable_names[i],
-                       "states": list(net.state_labels[i])}
-                      for i in range(len(net.variable_names))],
-        "edges": {
-            "arcs": [[net.variable_names[x], net.variable_names[y]]
-                     for x, y in sorted(net.structure.arcs())],
-            "links": [[net.variable_names[x], net.variable_names[y]]
-                      for x, y in sorted(net.structure.links())],
-        },
+        "variables": [{"name": name, "states": list(labels)}
+                      for name, labels in zip(names, net.state_labels)],
+        "edges": {kind: [[names[x], names[y]] for x, y in sorted(edges)]
+                  for kind, edges in (("arcs", net.structure.arcs()),
+                                      ("links", net.structure.links()))},
     }
     if net.cpts is not None:
-        doc["cpts"] = {net.variable_names[y]: net.cpts[y].tolist()
-                       for y in range(len(net.variable_names))}
+        doc["cpts"] = {name: t.tolist() for name, t in zip(names, net.cpts)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -323,35 +323,35 @@ def load_network(path):
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 ({exc})") from None
     try:
-        names = [v["name"] for v in doc["variables"]]
-        states = [list(v["states"]) for v in doc["variables"]]
-        edges = doc.get("edges", {})
-        arc_names = edges.get("arcs", [])
-        link_names = edges.get("links", [])
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: missing field {exc}") from None
-    idx = {name: i for i, name in enumerate(names)}
-    if len(idx) != len(names):
-        raise DataError(f"{path}: duplicate variable names")
-    g = PartialDag(len(names))
-    try:
-        for a, b in arc_names:
-            g.add_arc(idx[a], idx[b])
-        for a, b in link_names:
-            g.add_link(idx[a], idx[b])
-    except (KeyError, GraphError) as exc:
-        raise DataError(f"{path}: bad edge ({exc})") from None
-    cpts = None
-    if "cpts" in doc:
-        missing = set(names) - set(doc["cpts"])
-        if missing:
-            raise DataError(f"{path}: tables missing for {sorted(missing)}")
-        try:
-            cpts = [np.asarray(doc["cpts"][name], dtype=float)
-                    for name in names]
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad table ({exc})") from None
-    try:
+        variables = _typed(doc["variables"], list, "variables")
+        names = [_typed(v["name"], str, "name") for v in variables]
+        states = [_typed(v["states"], list, "states") for v in variables]
+        index = {name: i for i, name in enumerate(names)}
+        edges = _typed(doc.get("edges", {}), dict, "edges")
+        arcs, links = ([_edge(e, index) for e in edges.get(kind, [])]
+                       for kind in ("arcs", "links"))
+        g = PartialDag.from_edges(len(names), arcs, links)
+        cpts = None
+        if "cpts" in doc:
+            tables = _typed(doc["cpts"], dict, "cpts")
+            if set(tables) != set(names):
+                raise DataError("cpts keys are not the variable names")
+            cpts = [np.asarray(tables[name], dtype=float) for name in names]
         return BayesNet(names, [len(s) for s in states], g, cpts, states)
-    except DataError as exc:
+    except KeyError as exc:
+        raise DataError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError, GraphError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def _typed(value, kind, what):
+    if not isinstance(value, kind):
+        raise DataError(f"{what} must be a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
+def _edge(e, index):
+    if (isinstance(e, list) and len(e) == 2
+            and all(isinstance(v, str) and v in index for v in e)):
+        return index[e[0]], index[e[1]]
+    raise DataError(f"edge {json.dumps(e)} is not a pair of variable names")

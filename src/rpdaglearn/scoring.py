@@ -116,14 +116,13 @@ class LocalScoreCache:
 
 
 class Scorer:
-    """Scoring front end: a dataset, a score function, and a cache.
+    """Scoring front end: a dataset, a score function, and its own cache.
 
     ``local(y, parents)`` returns the family score through the cache;
     ``score_dag`` and ``score_rpdag`` sum families over a structure.
     """
 
-    def __init__(self, dataset, score="bdeu", ess=1.0, prior="uniform",
-                 cache=None):
+    def __init__(self, dataset, score="bdeu", ess=1.0, prior="uniform"):
         if score not in SCORE_IDS:
             raise ValueError(f"unknown score {score!r}")
         if prior not in PRIOR_IDS:
@@ -133,7 +132,7 @@ class Scorer:
         self.score = score
         self.ess = ess
         self.prior = prior
-        self.cache = cache if cache is not None else LocalScoreCache()
+        self.cache = LocalScoreCache()
 
     def _compute(self, y, parents):
         table = count_statistics(self.dataset, y, parents)

@@ -290,19 +290,16 @@ _INVERSE_KIND = {"A_link": "D_link", "D_link": "A_link", "A_arc": "D_arc",
                  "D_arc": "A_arc", "A_hh": "D_arc"}
 
 
-def _signature(op, kind=None):
-    """Edge-change signature of a move, read as a move of ``kind`` when
-    given; used for tabu matching."""
-    kind = kind or ("A_arc" if op.kind == "A_hh" else op.kind)
-    if kind in ("A_link", "D_link"):
-        return (kind, min(op.x, op.y), max(op.x, op.y))
-    return (kind, op.x, op.y)
+def _signature(op):
+    """Edge-change signature of a move, used for tabu matching.  Both
+    enumerators emit link moves with x < y, so equal edges match."""
+    return ("A_arc" if op.kind == "A_hh" else op.kind, op.x, op.y)
 
 
 def _inverse_signature(op):
     if op.kind == "R_arc":
         return ("R_arc", op.y, op.x)
-    return _signature(op, _INVERSE_KIND[op.kind])
+    return (_INVERSE_KIND[op.kind], op.x, op.y)
 
 
 # -- drivers ------------------------------------------------------------------

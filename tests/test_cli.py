@@ -292,6 +292,79 @@ class TestNetworkShape:
         assert not out.exists()
 
 
+def collider_edited(path, edit):
+    """collider3 after ``edit`` has changed its parsed document."""
+    doc = json.loads(Path(COLLIDER).read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestMalformedNetwork:
+    """Every malformed network file is a data error (exit 2) whose message
+    names the file and the fault."""
+
+    BAD_ROWS = "rows of table for y must be non-negative and sum to 1"
+    CASES = {
+        "nan table": (lambda d: d["cpts"].update(y=[[float("nan"), 1.0]]),
+                      BAD_ROWS),
+        "negative table": (lambda d: d["cpts"].update(y=[[1.5, -0.5]]),
+                           BAD_ROWS),
+        "repeated states": (
+            lambda d: d["variables"][1].update(states=["x", "x"]),
+            "variable y needs 2 distinct labels"),
+        "three-name arc": (
+            lambda d: d["edges"].update(arcs=[["y", "x", "z"]]),
+            'edge ["y", "x", "z"] is not a pair of variable names'),
+        "edges as a list": (lambda d: d.update(edges=[]),
+                            "edges must be a JSON object"),
+        "cpts as a list": (lambda d: d.update(cpts=list(d["cpts"].values())),
+                           "cpts must be a JSON object"),
+        "cpts key naming no variable": (
+            lambda d: d["cpts"].update(w=[[0.5, 0.5]]),
+            "cpts keys are not the variable names"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("command", ["sample", "compare"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, case):
+        edit, fault = self.CASES[case]
+        net = collider_edited(tmp_path / "net.json", edit)
+        out = tmp_path / "out.csv"
+        rest = (["--n", "5", "--out", str(out)] if command == "sample"
+                else ["--gold", COLLIDER])
+        assert main([command, "--net", net, *rest]) == 2
+        assert capsys.readouterr().err == f"data error: {net}: {fault}\n"
+        assert not out.exists()
+
+
+class TestDirectoryOutputPath:
+    """An output path that is a directory is a usage error (exit 1), found
+    before any work, so nothing is written."""
+
+    @pytest.mark.parametrize("option", ["--out", "--report"])
+    def test_learn(self, tmp_path, sampled_csv, capsys, option):
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        argv = ["learn", "--data", sampled_csv,
+                "--out", str(tmp_path / "learned.json"),
+                "--report", str(tmp_path / "report.json")]
+        argv[argv.index(option) + 1] = str(outdir)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: output path is a directory: {outdir}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.csv", "outdir"]
+        assert not any(outdir.iterdir())
+
+    def test_sample(self, tmp_path, capsys):
+        assert main(["sample", "--net", COLLIDER, "--n", "5",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output path is a directory: {tmp_path}\n")
+        assert not any(tmp_path.iterdir())
+
+
 class TestInputEdgeCases:
     def test_score_non_finite_ess(self, sampled_csv, capsys):
         assert main(["score", "--data", sampled_csv, "--net", COLLIDER,

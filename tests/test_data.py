@@ -404,3 +404,27 @@ class TestNetworkFile:
     def test_malformed_json(self, tmp_path):
         with pytest.raises(DataError):
             load_network(write(tmp_path / "bad.json", "{not json"))
+
+
+class TestVariableChecks:
+    """Datasets and networks share one variable-list check; networks also
+    require non-negative table rows that sum to 1."""
+
+    @pytest.mark.parametrize("names, cards, labels", [
+        (["a", "a"], [2, 2], None),
+        (["a", "b"], [2], None),
+        (["a", "b"], [2, 2], [["0", "1", "2"], ["0", "1"]]),
+        (["a", "b"], [2, 2], [["0", "0"], ["0", "1"]]),
+        (["a", "b"], [2, 2], [["0", "1"]]),
+    ])
+    def test_bad_variable_list_rejected(self, names, cards, labels):
+        with pytest.raises(DataError):
+            BayesNet(names, cards, PartialDag(2), state_labels=labels)
+        with pytest.raises(DataError):
+            Dataset(names, cards, np.zeros((1, 2), np.int64), labels)
+
+    @pytest.mark.parametrize("row", [[math.nan, 1.0], [1.5, -0.5],
+                                     [math.inf, 0.0]])
+    def test_bad_table_rejected(self, row):
+        with pytest.raises(DataError, match="non-negative and sum to 1"):
+            BayesNet(["y"], [2], PartialDag(1), [np.array([row])])

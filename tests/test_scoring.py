@@ -184,16 +184,6 @@ class TestCache:
     def test_empty_cache_nvars(self):
         assert LocalScoreCache().nvars == 0.0
 
-    def test_shared_cache_instance(self, rng):
-        ds = random_dataset(3, 30, rng)
-        cache = LocalScoreCache()
-        a = Scorer(ds, cache=cache)
-        b = Scorer(ds, cache=cache)
-        a.local(0, [1])
-        b.local(0, [1])
-        assert cache.evaluated == 1
-        assert cache.requested == 2
-
 
 def mutual_information_loop(table):
     """The double loop over (j, k) that mutual_information replaced, kept
