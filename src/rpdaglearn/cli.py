@@ -36,12 +36,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_output_path(path):
+def _check_output_path(option, path, others):
+    """Refuse an output path in a missing directory, one that is a
+    directory, and one that names any file of ``others`` (option -> path,
+    None when not given): an input or another output."""
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise UsageError(f"output directory does not exist: {parent}")
     if os.path.isdir(path):
         raise UsageError(f"output path is a directory: {path}")
+    for other_option, other in others.items():
+        if other is not None and _same_file(path, other):
+            raise UsageError(f"{option} {path} names the same file as "
+                             f"{other_option}")
+
+
+def _same_file(a, b):
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
 
 
 def _print_table(record):
@@ -97,9 +110,14 @@ def _distance(learned, gold):
 
 
 def cmd_learn(args):
-    _check_output_path(args.out)
+    # --out may name its own --start: resuming in place writes a network
+    # file over a network file.
+    inputs = {"--data": args.data, "--gold": args.gold}
+    _check_output_path("--out", args.out,
+                       {**inputs, "--report": args.report})
     if args.report:
-        _check_output_path(args.report)
+        _check_output_path("--report", args.report,
+                           {**inputs, "--start": args.start})
     dataset = data_mod.load_csv(args.data, args.missing_token)
     names = dataset.variable_names
     start = _structure(args.start, names)
@@ -133,7 +151,7 @@ def cmd_learn(args):
 
 
 def cmd_sample(args):
-    _check_output_path(args.out)
+    _check_output_path("--out", args.out, {"--net": args.net})
     net = data_mod.load_network(args.net)
     dataset = data_mod.sample(net, args.n, args.seed)
     data_mod.save_csv(dataset, args.out)

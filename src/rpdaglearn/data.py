@@ -65,7 +65,8 @@ class Dataset:
 
 def _checked_labels(names, cardinalities, state_labels):
     """State labels of a variable list with unique names, each with one
-    cardinality r and r distinct labels ("0" ... "r-1" if none given)."""
+    cardinality r and r distinct string labels ("0" ... "r-1" if none
+    given)."""
     if state_labels is None:
         state_labels = [[str(k) for k in range(r)] for r in cardinalities]
     if len(set(names)) != len(names):
@@ -73,6 +74,9 @@ def _checked_labels(names, cardinalities, state_labels):
     if not len(names) == len(cardinalities) == len(state_labels):
         raise DataError("variable list lengths differ")
     for name, r, labels in zip(names, cardinalities, state_labels):
+        if not all(isinstance(label, str) for label in labels):
+            raise DataError(f"variable {name} has a state label that is "
+                            f"not a string")
         if len(labels) != r or len(set(labels)) != r:
             raise DataError(f"variable {name} needs {r} distinct labels")
     return state_labels
@@ -323,12 +327,15 @@ def load_network(path):
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 ({exc})") from None
     try:
-        variables = _typed(doc["variables"], list, "variables")
+        doc = _typed(doc, dict, "the document")
+        variables = [_typed(v, dict, "each variable")
+                     for v in _typed(doc["variables"], list, "variables")]
         names = [_typed(v["name"], str, "name") for v in variables]
         states = [_typed(v["states"], list, "states") for v in variables]
         index = {name: i for i, name in enumerate(names)}
         edges = _typed(doc.get("edges", {}), dict, "edges")
-        arcs, links = ([_edge(e, index) for e in edges.get(kind, [])]
+        arcs, links = ([_edge(e, index)
+                        for e in _typed(edges.get(kind, []), list, kind)]
                        for kind in ("arcs", "links"))
         g = PartialDag.from_edges(len(names), arcs, links)
         cpts = None
@@ -336,11 +343,12 @@ def load_network(path):
             tables = _typed(doc["cpts"], dict, "cpts")
             if set(tables) != set(names):
                 raise DataError("cpts keys are not the variable names")
-            cpts = [np.asarray(tables[name], dtype=float) for name in names]
+            cpts = [_table(tables[name], name) for name in names]
         return BayesNet(names, [len(s) for s in states], g, cpts, states)
     except KeyError as exc:
         raise DataError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError, GraphError, DataError) as exc:
+    except (TypeError, ValueError, OverflowError, GraphError,
+            DataError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -348,6 +356,18 @@ def _typed(value, kind, what):
     if not isinstance(value, kind):
         raise DataError(f"{what} must be a JSON {_JSON_TYPES[kind]}")
     return value
+
+
+def _table(rows, name):
+    """A table given as a JSON array of equally long rows of numbers."""
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == len(rows[0])
+                    and all(isinstance(p, (int, float))
+                            and not isinstance(p, bool) for p in row)
+                    for row in rows)):
+        raise DataError(f"table for {name} must be a JSON array of equally "
+                        f"long rows of numbers")
+    return np.asarray(rows, dtype=float)
 
 
 def _edge(e, index):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import time
+import types
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -310,25 +311,16 @@ class StartError(GraphError):
     space: bad input rather than a broken invariant."""
 
 
-class _Space:
-    """Bundles the operator set of a search space."""
-
-    def __init__(self, neighborhood, delta, apply_inplace, initial_score,
-                 start_problem):
-        self.neighborhood = neighborhood
-        self.delta = delta
-        self.apply_inplace = apply_inplace
-        self.initial_score = initial_score
-        self.start_problem = start_problem
-
-
-_RPDAG_SPACE = _Space(enumerate_neighborhood, delta_score, _apply_inplace,
-                      lambda scorer, g: scorer.score_rpdag(g),
-                      PartialDag.rpdag_problem)
-_DAG_SPACE = _Space(dag_enumerate_neighborhood, delta_score,
-                    _dag_apply_inplace,
-                    lambda scorer, g: scorer.score_dag(g),
-                    PartialDag.dag_problem)
+# The operator set of a search space, as a settable record.
+_Space = types.SimpleNamespace
+_RPDAG_SPACE = _Space(neighborhood=enumerate_neighborhood, delta=delta_score,
+                      apply_inplace=_apply_inplace,
+                      initial_score=lambda scorer, g: scorer.score_rpdag(g),
+                      start_problem=PartialDag.rpdag_problem)
+_DAG_SPACE = _Space(neighborhood=dag_enumerate_neighborhood, delta=delta_score,
+                    apply_inplace=_dag_apply_inplace,
+                    initial_score=lambda scorer, g: scorer.score_dag(g),
+                    start_problem=PartialDag.dag_problem)
 
 
 def _prepare_start(dataset, start, space):
@@ -390,9 +382,10 @@ class _DeltaCache:
 
 
 def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
-    """The one search loop.  Each iteration applies the best move the tabu
-    list does not block, or the best of all moves when every move is
-    blocked.  Greedy keeps no tabu list and stops before a move whose
+    """The one search loop.  Each iteration applies the first maximal move
+    the tabu list does not block, or the first maximal move when every move
+    is blocked; the list is read only for a move that beats the allowed one
+    so far.  Greedy keeps no tabu list and stops before a move whose
     delta is at most IMPROVE_TOL; its best graph is its current graph,
     since an applied move may gain less than the score's ulp.  Tabu runs
     tsit iterations and keeps a copy of the best graph seen."""
@@ -413,23 +406,22 @@ def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
     tabu = deque(maxlen=tll)
     trace = []
     while greedy or len(trace) < tsit:
-        chosen = chosen_delta = fallback = fallback_delta = None
+        best = allowed = None
         for op, d in deltas.scored(g):
-            if fallback is None or d > fallback_delta:
-                fallback, fallback_delta = op, d
-            if (tabu and _signature(op) in tabu
+            if best is None or d > best[1]:
+                best = op, d
+            if (allowed is None or d > allowed[1]) and not (
+                    tabu and _signature(op) in tabu
                     and total + d <= best_score + IMPROVE_TOL):
-                continue
-            if chosen is None or d > chosen_delta:
-                chosen, chosen_delta = op, d
-        if chosen is None:
-            chosen, chosen_delta = fallback, fallback_delta
-        if chosen is None or (greedy and chosen_delta <= IMPROVE_TOL):
+                allowed = op, d
+        chosen = allowed or best
+        if chosen is None or (greedy and chosen[1] <= IMPROVE_TOL):
             break
-        tabu.append(_inverse_signature(chosen))
-        deltas.apply(g, chosen)
-        total += chosen_delta
-        trace.append((chosen, chosen_delta))
+        op, d = chosen
+        tabu.append(_inverse_signature(op))
+        deltas.apply(g, op)
+        total += d
+        trace.append(chosen)
         if greedy:
             best_score, best_iteration = total, len(trace)
         elif total > best_score + IMPROVE_TOL:

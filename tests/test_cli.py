@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from importlib.resources import files
 from pathlib import Path
 
@@ -305,6 +306,8 @@ class TestMalformedNetwork:
     names the file and the fault."""
 
     BAD_ROWS = "rows of table for y must be non-negative and sum to 1"
+    BAD_TABLE = ("table for y must be a JSON array of equally long rows of "
+                 "numbers")
     CASES = {
         "nan table": (lambda d: d["cpts"].update(y=[[float("nan"), 1.0]]),
                       BAD_ROWS),
@@ -323,6 +326,25 @@ class TestMalformedNetwork:
         "cpts key naming no variable": (
             lambda d: d["cpts"].update(w=[[0.5, 0.5]]),
             "cpts keys are not the variable names"),
+        "missing variables": (lambda d: d.pop("variables"),
+                              "missing field 'variables'"),
+        "arcs as a number": (lambda d: d["edges"].update(arcs=5),
+                             "arcs must be a JSON array"),
+        "variable as a string": (lambda d: d.update(variables=["x"]),
+                                 "each variable must be a JSON object"),
+        "table as an object": (
+            lambda d: d["cpts"].update(y={"0": 0.5, "1": 0.5}), BAD_TABLE),
+        "boolean table": (lambda d: d["cpts"].update(y=[[True, False]]),
+                          BAD_TABLE),
+        "numeric state label": (
+            lambda d: d["variables"][1].update(states=[0, "0"]),
+            "variable y has a state label that is not a string"),
+        "link with tables": (
+            lambda d: d["edges"].update(links=[["y", "z"]]),
+            "parameterized network must be a DAG"),
+        "table of wrong shape": (
+            lambda d: d["cpts"].update(y=[[0.2, 0.3, 0.5]]),
+            "table shape mismatch for variable y: (1, 3)"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -336,6 +358,85 @@ class TestMalformedNetwork:
         assert main([command, "--net", net, *rest]) == 2
         assert capsys.readouterr().err == f"data error: {net}: {fault}\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["sample", "compare"])
+    def test_document_not_an_object(self, tmp_path, capsys, command):
+        net = tmp_path / "net.json"
+        net.write_text("[]", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        rest = (["--n", "5", "--out", str(out)] if command == "sample"
+                else ["--gold", COLLIDER])
+        assert main([command, "--net", str(net), *rest]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {net}: the document must be a JSON object\n")
+        assert not out.exists()
+
+    def test_sample_without_tables(self, tmp_path, capsys):
+        # A network without tables is a valid file; only sampling needs
+        # them.
+        net = collider_edited(tmp_path / "net.json", lambda d: d.pop("cpts"))
+        out = tmp_path / "out.csv"
+        assert main(["sample", "--net", net, "--n", "5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: sampling requires conditional probability tables\n")
+        assert not out.exists()
+
+
+class TestOutputNamesAnotherFile:
+    """An output path naming an input or the other output is a usage
+    error (exit 1), found before any work: nothing is written and every
+    input keeps its bytes."""
+
+    @pytest.mark.parametrize("argv, option, other", [
+        (["learn", "--data", "d.csv", "--out", "d.csv"], "--out", "--data"),
+        (["learn", "--data", "d.csv", "--out", "g.json", "--gold", "g.json"],
+         "--out", "--gold"),
+        (["learn", "--data", "d.csv", "--out", "r.json", "--report",
+          "r.json"], "--out", "--report"),
+        (["learn", "--data", "d.csv", "--out", "o.json", "--report",
+          "d.csv"], "--report", "--data"),
+        (["learn", "--data", "d.csv", "--out", "o.json", "--gold", "g.json",
+          "--report", "g.json"], "--report", "--gold"),
+        (["learn", "--data", "d.csv", "--out", "o.json", "--start", "s.json",
+          "--report", "s.json"], "--report", "--start"),
+        (["learn", "--data", "d.csv", "--out", "sub/../d.csv"],
+         "--out", "--data"),
+        (["learn", "--data", "d.csv", "--out", "link.csv"],
+         "--out", "--data"),
+        (["learn", "--data", "d.csv", "--out", "hard.csv"],
+         "--out", "--data"),
+        (["sample", "--net", "g.json", "--n", "5", "--out", "g.json"],
+         "--out", "--net"),
+    ], ids=["out-data", "out-gold", "out-report", "report-data",
+            "report-gold", "report-start", "out-data-respelled",
+            "out-symlink-data", "out-hard-link-data", "sample-out-net"])
+    def test_refused(self, tmp_path, gold8_csv, capsys, monkeypatch, argv,
+                     option, other):
+        monkeypatch.chdir(tmp_path)
+        Path("sub").mkdir()
+        Path("d.csv").write_bytes(Path(gold8_csv).read_bytes())
+        Path("g.json").write_bytes(Path(GOLD8).read_bytes())
+        Path("s.json").write_bytes(Path(GOLD8).read_bytes())
+        Path("link.csv").symlink_to("d.csv")
+        os.link("d.csv", "hard.csv")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                  if p.is_file()}
+        assert main(argv) == 1
+        path = argv[argv.index(option) + 1]
+        assert capsys.readouterr().err == (
+            f"error: {option} {path} names the same file as {other}\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                if p.is_file()} == before
+        assert not any(Path("sub").iterdir())
+
+    def test_out_may_name_start(self, tmp_path, gold8_csv):
+        start = gold8_with_edges(tmp_path / "start.json", links=[["a", "b"]])
+        before = Path(start).read_bytes()
+        assert main(["learn", "--data", gold8_csv, "--out", start,
+                     "--start", start]) == 0
+        assert Path(start).read_bytes() != before
 
 
 class TestDirectoryOutputPath:

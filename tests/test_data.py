@@ -428,3 +428,36 @@ class TestVariableChecks:
     def test_bad_table_rejected(self, row):
         with pytest.raises(DataError, match="non-negative and sum to 1"):
             BayesNet(["y"], [2], PartialDag(1), [np.array([row])])
+
+    @pytest.mark.parametrize("labels, name", [
+        ([[0, "0"], ["0", "1"]], "a"), ([["0", "1"], [b"0", b"1"]], "b")])
+    def test_non_string_labels_rejected(self, labels, name):
+        # 0 and "0" are distinct but would be written as the same token.
+        message = f"variable {name} has a state label that is not a string"
+        with pytest.raises(DataError, match=message):
+            BayesNet(["a", "b"], [2, 2], PartialDag(2), state_labels=labels)
+        with pytest.raises(DataError, match=message):
+            Dataset(["a", "b"], [2, 2], np.zeros((1, 2), np.int64), labels)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Dataset(["a", "b"], [2, 3], [[0, 2], [1, 3]]),
+         "cell index out of range for variable b"),
+        (lambda: Dataset(["a"], [2], [[-1]]),
+         "cell index out of range for variable a"),
+        (lambda: BayesNet(["a", "b"], [2, 2], PartialDag(3)),
+         "structure/variable count mismatch"),
+        (lambda: BayesNet(["a", "b"], [2, 2],
+                          PartialDag.from_edges(2, links=[(0, 1)]),
+                          [np.full((1, 2), 0.5)] * 2),
+         "parameterized network must be a DAG"),
+        (lambda: BayesNet(["a", "b"], [2, 2], PartialDag(2),
+                          [np.full((1, 2), 0.5)]),
+         "one table per variable required"),
+        (lambda: BayesNet(["a", "b"], [2, 2],
+                          PartialDag.from_edges(2, arcs=[(0, 1)]),
+                          [np.full((1, 2), 0.5)] * 2),
+         r"table shape mismatch for variable b: \(1, 2\)"),
+    ])
+    def test_documented_messages(self, build, message):
+        with pytest.raises(DataError, match=message):
+            build()

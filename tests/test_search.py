@@ -5,7 +5,7 @@ from conftest import (random_dag, random_dataset, random_network,
                       random_rpdag)
 from rpdaglearn import search
 from rpdaglearn.census import enumerate_dags, group_by_rpdag_key
-from rpdaglearn.data import BayesNet, sample
+from rpdaglearn.data import BayesNet, Dataset, sample
 from rpdaglearn.graph import GraphError, PartialDag, is_extension
 from rpdaglearn.scoring import Scorer
 from rpdaglearn.search import (MoveOperator, apply_operator,
@@ -514,3 +514,75 @@ class TestTabu:
             tabu_search(ds, Scorer(ds), tll=-1)
         with pytest.raises(ValueError):
             tabu_search(ds, Scorer(ds), tsit=0)
+
+
+class TestTabuSelection:
+    """Each tabu iteration applies the first maximal move the tabu list
+    does not block, or the first maximal move when every move is
+    blocked."""
+
+    @pytest.mark.parametrize("run, moves", [
+        (tabu_search, [("A_link", 0, 1), ("D_link", 0, 1)] * 3),
+        (dag_tabu_search, [("A_arc", 0, 1), ("R_arc", 0, 1),
+                           ("D_arc", 1, 0)] * 2),
+    ], ids=["rpdag", "dag"])
+    def test_two_variables(self, run, moves):
+        # a and b agree in 12 of 14 rows.  With tll = 1 the rpdag run's
+        # neighbourhood is a single move, blocked from the second
+        # iteration on, so every later move is the all-blocked fallback.
+        # The DAG run cannot undo the move just made, so it reverses the
+        # arc, deletes it and adds it again.
+        ds = Dataset(["a", "b"], [2, 2],
+                     [[0, 0]] * 6 + [[1, 1]] * 6 + [[0, 1], [1, 0]])
+        g, report = run(ds, Scorer(ds), tll=1, tsit=6)
+        assert [(op.kind, op.x, op.y) for op, _ in report.trace] == moves
+        gain = report.trace[0][1]
+        assert gain > 0
+        assert [d for _, d in report.trace] == {
+            tabu_search: [gain, -gain] * 3,
+            dag_tabu_search: [gain, 0.0, -gain] * 2}[run]
+        assert report.best_iteration == 1
+        assert report.best_score == Scorer(ds).score_dag(PartialDag(2)) + gain
+        assert g.edge_count() == 1
+
+    @pytest.mark.parametrize("run, rescore, seed", [
+        (tabu_search, "score_rpdag", 22), (dag_tabu_search, "score_dag", 3)],
+        ids=["rpdag", "dag"])
+    def test_applies_first_maximal_allowed_move(self, monkeypatch, run,
+                                                rescore, seed):
+        # Replays the tabu list and the best score from the trace and
+        # checks every applied move against each iteration's scored
+        # neighbourhood.  The seeds give runs in which the list overrules
+        # the first maximal move and aspiration admits a listed move.
+        scored = search._DeltaCache.scored
+        neighbourhoods = []
+
+        def recorded(cache, g):
+            moves = list(scored(cache, g))
+            neighbourhoods.append(moves)
+            yield from moves
+
+        monkeypatch.setattr(search._DeltaCache, "scored", recorded)
+        ds = sample(random_network(7, seed=seed, p=0.4), 1500, seed=seed)
+        tll = 7
+        _, report = run(ds, Scorer(ds), tll=tll, tsit=60)
+        total = best = getattr(Scorer(ds), rescore)(PartialDag(7))
+        tabu, overruled, aspirated = [], 0, 0
+        for moves, applied in zip(neighbourhoods, report.trace, strict=True):
+            allowed = [(op, d) for op, d in moves
+                       if not (search._signature(op) in tabu[-tll:]
+                               and total + d
+                               <= best + search.IMPROVE_TOL)]
+            pool = allowed or moves
+            top = max(d for _, d in pool)
+            assert applied == next(m for m in pool if m[1] == top)
+            overruled += applied != max(moves, key=lambda m: m[1])
+            op, d = applied
+            listed = search._signature(op) in tabu[-tll:]
+            tabu.append(search._inverse_signature(op))
+            total += d
+            if total > best + search.IMPROVE_TOL:
+                best = total
+                aspirated += listed
+        assert report.best_score == best
+        assert overruled > 0 and aspirated > 0
