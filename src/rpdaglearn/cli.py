@@ -153,7 +153,10 @@ def cmd_learn(args):
 def cmd_sample(args):
     _check_output_path("--out", args.out, {"--net": args.net})
     net = data_mod.load_network(args.net)
-    dataset = data_mod.sample(net, args.n, args.seed)
+    try:
+        dataset = data_mod.sample(net, args.n, args.seed)
+    except data_mod.DataError as exc:   # a network without tables
+        raise data_mod.DataError(f"{args.net}: {exc}") from None
     data_mod.save_csv(dataset, args.out)
     print(f"wrote {dataset.m} rows over {dataset.n} variables to {args.out}")
     return EXIT_OK

@@ -43,10 +43,19 @@ class Dataset:
     def __post_init__(self):
         self.state_labels = _checked_labels(
             self.variable_names, self.cardinalities, self.state_labels)
+        rows = np.asarray(self.rows)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise DataError(f"rows must be an (m, {self.n}) table, got "
+                            f"shape {rows.shape}")
         # Column-major: counting reads whole columns, so each one is kept
         # contiguous in memory.
-        self.rows = np.asfortranarray(
-            np.asarray(self.rows, dtype=np.int64).reshape(-1, self.n))
+        with np.errstate(invalid="ignore"):   # a NaN or inf cell fails below
+            self.rows = np.asfortranarray(rows, dtype=np.int64)
+        if rows.dtype != np.int64:
+            changed = np.flatnonzero((self.rows != rows).any(axis=0))
+            if changed.size:
+                raise DataError(f"variable {self.variable_names[changed[0]]} "
+                                f"has a cell that is not a whole number")
         if self.m > 0:
             for i, r in enumerate(self.cardinalities):
                 col = self.rows[:, i]
@@ -89,7 +98,7 @@ def load_csv(path, missing_token=DEFAULT_MISSING_TOKEN):
     missing token becomes an ordinary extra state, placed last.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header, ids, tokens = _token_ids(reader, path)
@@ -149,7 +158,7 @@ def _ragged_record(path, n):
     """Message naming the last physical line of the first record of
     ``path`` that does not have n fields.  Only this error path re-reads
     the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if len(row) != n:
@@ -320,7 +329,7 @@ def save_network(net, path):
 
 def load_network(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None

@@ -66,7 +66,7 @@ def evaluate(structure, train, test=None, gold=None, ess=1.0,
     if test is not None:
         _scores(test, "test")
     if gold is not None:
-        breakdown = hamming(structure, gold)
+        breakdown = hamming(h, gold)
         record.update(hamming_added=breakdown.added,
                       hamming_deleted=breakdown.deleted,
                       hamming_inverted=breakdown.inverted,

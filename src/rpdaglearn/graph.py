@@ -304,21 +304,19 @@ class PartialDag:
         """Convert arcs back into links after an arc into y was deleted
         (or, from :meth:`reduce_to_rpdag`, below a parentless y).
 
-        Restores condition 4: with |Pa(y)| now 0 or 1, the remaining
-        single parent u of y is undirected when Pa(u) is empty, and every
-        child chain hanging off a now-parentless node whose only parent it
-        was is undirected recursively.  A no-op when |Pa(y)| > 1.
+        Restores condition 4 in one breadth-first pass, which turns each
+        arc v->t with Pa(t) = {v} into a link and goes on from t.  It
+        starts at y's one parent u if Pa(u) is empty, or at y if y has no
+        parent; a no-op when |Pa(y)| > 1 or when y's one parent has one.
         """
-        if len(self._pa[y]) > 1:
-            return self
-        if len(self._pa[y]) == 1:
-            (u,) = self._pa[y]
-            if not self._pa[u]:
-                self.remove_arc(u, y)
-                self.add_link(u, y)
-        pending = deque()
-        if not self._pa[y]:
-            pending.append(y)
+        start = y
+        if self._pa[y]:
+            if len(self._pa[y]) > 1:
+                return self
+            (start,) = self._pa[y]
+            if self._pa[start]:
+                return self
+        pending = deque([start])
         while pending:
             v = pending.popleft()
             for t in list(self._ch[v]):

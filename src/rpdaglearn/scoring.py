@@ -76,9 +76,17 @@ def bdeu_local(table, ess, prior="uniform"):
         return 0.0
     a_jk = ess / (r * q)
     a_j = ess / q
-    nj = table.marginals
-    value = float(np.sum(gammaln(a_j) - gammaln(a_j + nj))
-                  + np.sum(gammaln(a_jk + table.counts) - gammaln(a_jk)))
+    # gammaln overflows to inf without a warning; subtracting two infs
+    # would warn and make the score NaN, so the two scalar terms are
+    # checked first.
+    lg_j, lg_jk = gammaln(a_j), gammaln(a_jk)
+    value = math.nan
+    if math.isfinite(lg_j) and math.isfinite(lg_jk):
+        nj = table.marginals
+        value = float(np.sum(lg_j - gammaln(a_j + nj))
+                      + np.sum(gammaln(a_jk + table.counts) - lg_jk))
+    if not math.isfinite(value):
+        raise ValueError(f"ess {ess} gives a BDeu score that is not finite")
     if prior == "param-penalty":
         value += (r - 1) * q * PARAM_PENALTY_LOG
     return value
@@ -103,16 +111,19 @@ class LocalScoreCache:
     """Store of computed local scores with instrumentation counters."""
 
     store: dict = field(default_factory=dict)
-    evaluated: int = 0        # cache misses (EstEv)
     requested: int = 0        # total lookups (TEst)
-    variable_count_sum: int = 0
+
+    @property
+    def evaluated(self):
+        """Cache misses (EstEv): each stores one key, and none is removed."""
+        return len(self.store)
 
     @property
     def nvars(self):
         """Mean number of variables per evaluated statistic."""
-        if self.evaluated == 0:
+        if not self.store:
             return 0.0
-        return self.variable_count_sum / self.evaluated
+        return sum(len(pa) + 1 for _, pa in self.store) / len(self.store)
 
 
 class Scorer:
@@ -147,8 +158,6 @@ class Scorer:
         if value is None:
             value = self._compute(y, key[1])
             self.cache.store[key] = value
-            self.cache.evaluated += 1
-            self.cache.variable_count_sum += len(key[1]) + 1
         return value
 
     def score_dag(self, h):
@@ -157,8 +166,7 @@ class Scorer:
         return sum(self.local(y, h.pa(y)) for y in range(h.node_count))
 
     def score_rpdag(self, g):
-        if not g.is_rpdag():
-            raise GraphError("score_rpdag requires a restricted PDAG")
+        """Score of the canonical extension, which refuses a non-RPDAG."""
         return self.score_dag(g.extend())
 
 

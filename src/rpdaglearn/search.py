@@ -36,6 +36,8 @@ class MoveOperator:
     z: int = None
 
     def __post_init__(self):
+        if self.kind not in _KIND_ORDER:
+            raise GraphError(f"unknown operator kind {self.kind!r}")
         if self.x == self.y:
             raise GraphError("operator endpoints must differ")
         if self.kind == "A_hh":
@@ -123,8 +125,6 @@ def _apply_inplace(g, op):
         g.undo_cascade(y)
     elif op.kind == "D_link":
         g.remove_link(x, y)
-    else:
-        raise GraphError(f"unknown operator kind {op.kind!r}")
     return g
 
 
@@ -156,7 +156,6 @@ def delta_score(g, op, scorer):
         pay, pax = g.pa(y), g.pa(x)
         return (local(y, pay - {x}) - local(y, pay)
                 + local(x, pax | {y}) - local(x, pax))
-    raise GraphError(f"unknown operator kind {op.kind!r}")
 
 
 # Operators are frozen values, so the enumerator hands out one shared
@@ -397,6 +396,9 @@ def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
         tsit = n * (n - 1) if tsit is None else tsit
         if tll < 0 or tsit < 1:
             raise ValueError("tabu parameters out of range")
+        # The list gains one entry per iteration, so a cap of tsit changes
+        # no run and keeps deque's maxlen within a C ssize_t.
+        tll = min(tll, tsit)
     t0 = time.perf_counter()
     g = _prepare_start(dataset, start, space)
     best_graph = g if greedy else g.copy()

@@ -164,6 +164,16 @@ class TestLearn:
         assert json.loads(report.read_text())["Iter"] == 5
         assert main([*argv, "--tabu-iters", "5", "--tabu-len", "0"]) == 0
 
+    def test_tabu_length_beyond_iterations(self, tmp_path, gold8_csv):
+        # The list never holds more than --tabu-iters moves, so any longer
+        # length, even one past a C ssize_t, gives the same run.
+        outs = [tmp_path / "short.json", tmp_path / "long.json"]
+        for out, tll in zip(outs, ["3", "100000000000000000000"]):
+            assert main(["learn", "--data", gold8_csv, "--strategy", "tabu",
+                         "--tabu-len", tll, "--tabu-iters", "3",
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     @pytest.mark.parametrize("space", ["rpdag", "dag"])
     def test_report_scores_match_score_command(self, tmp_path, gold8_csv,
                                                capsys, space):
@@ -380,7 +390,8 @@ class TestMalformedNetwork:
         assert main(["sample", "--net", net, "--n", "5",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "data error: sampling requires conditional probability tables\n")
+            f"data error: {net}: sampling requires conditional probability "
+            f"tables\n")
         assert not out.exists()
 
 
@@ -489,6 +500,23 @@ class TestInputEdgeCases:
             f"data error: {net}: not UTF-8 ('utf-8' codec can't decode "
             f"byte 0xff")
 
+    def test_byte_order_mark(self, tmp_path, gold8_csv):
+        # A leading UTF-8 byte-order mark, as some spreadsheet programs
+        # write, is not part of the first header name or of the JSON.
+        bom_csv, bom_gold = tmp_path / "bom.csv", tmp_path / "bom.json"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + Path(gold8_csv).read_bytes())
+        bom_gold.write_bytes(b"\xef\xbb\xbf" + Path(GOLD8).read_bytes())
+        outs = []
+        for i, (data, gold) in enumerate([(gold8_csv, GOLD8),
+                                          (bom_csv, bom_gold)]):
+            learned, sampled = tmp_path / f"l{i}.json", tmp_path / f"s{i}.csv"
+            assert main(["learn", "--data", str(data), "--gold", str(gold),
+                         "--out", str(learned)]) == 0
+            assert main(["sample", "--net", str(gold), "--n", "20",
+                         "--out", str(sampled)]) == 0
+            outs.append((learned.read_bytes(), sampled.read_bytes()))
+        assert outs[0] == outs[1]
+
     def test_field_over_csv_limit(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("a,b\n1,2\n3," + "x" * (csv.field_size_limit() + 1)
@@ -541,9 +569,13 @@ class TestUsage:
         ["learn", "--strategy", "tabu", "--tabu-iters", "0"],
         ["learn", "--strategy", "tabu", "--tabu-len", "-1"],
         ["sample", "--n", "-3"],
-        # A bounded tabu run, so a learner that took a NaN ess would
-        # finish (greedy would never stop) and fail the test.
+        # Bounded tabu runs, so a learner that took a NaN ess, or an ess
+        # whose BDeu scores are not finite, would finish (greedy would
+        # never stop) and fail the test.
         ["learn", "--ess", "nan", "--strategy", "tabu", "--tabu-iters", "1"],
+        ["learn", "--ess", "1e308", "--strategy", "tabu", "--tabu-iters", "1"],
+        ["learn", "--ess", "1e-320", "--strategy", "tabu",
+         "--tabu-iters", "1"],
     ])
     def test_out_of_range_option_values(self, tmp_path, sampled_csv,
                                         capsys, command):

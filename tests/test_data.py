@@ -440,6 +440,16 @@ class TestVariableChecks:
             Dataset(["a", "b"], [2, 2], np.zeros((1, 2), np.int64), labels)
 
     @pytest.mark.parametrize("build, message", [
+        # Rows must be an (m, n) table of whole numbers: none is reshaped
+        # or truncated.
+        (lambda: Dataset(["a", "b"], [2, 2], [[0, 1, 1], [1, 0, 0]]),
+         r"rows must be an \(m, 2\) table, got shape \(2, 3\)"),
+        (lambda: Dataset(["a", "b"], [2, 2], np.zeros((4, 3), int)),
+         r"rows must be an \(m, 2\) table, got shape \(4, 3\)"),
+        (lambda: Dataset(["a"], [2], [[0.7], [1.9]]),
+         "variable a has a cell that is not a whole number"),
+        (lambda: Dataset(["a", "b"], [2, 2], [[0.0, 1.0], [1.0, math.nan]]),
+         "variable b has a cell that is not a whole number"),
         (lambda: Dataset(["a", "b"], [2, 3], [[0, 2], [1, 3]]),
          "cell index out of range for variable b"),
         (lambda: Dataset(["a"], [2], [[-1]]),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ class TestBdeuLocal:
             bdeu_local(count_statistics(ds, 0, []), ess)
         with pytest.raises(ValueError, match="finite and positive"):
             Scorer(ds, "bdeu", ess=ess)
+
+    # gammaln overflows to inf at both values, which would make every
+    # family score NaN.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ess", [1e308, 1e-320])
+    def test_rejects_ess_whose_scores_are_not_finite(self, ess):
+        ds = dataset_from([2, 3], [[0, 1], [1, 2], [1, 0]])
+        message = f"ess {ess} gives a BDeu score that is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Scorer(ds, "bdeu", ess=ess).local(0, (1,))
 
     def test_family_without_states_scores_zero(self):
         # A header-only CSV gives variables with no states: r = 0, and

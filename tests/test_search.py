@@ -8,7 +8,7 @@ from rpdaglearn.census import enumerate_dags, group_by_rpdag_key
 from rpdaglearn.data import BayesNet, Dataset, sample
 from rpdaglearn.graph import GraphError, PartialDag, is_extension
 from rpdaglearn.scoring import Scorer
-from rpdaglearn.search import (MoveOperator, apply_operator,
+from rpdaglearn.search import (MoveOperator, StartError, apply_operator,
                                dag_apply_operator,
                                dag_enumerate_neighborhood, dag_greedy_search,
                                dag_is_applicable, dag_tabu_search,
@@ -41,6 +41,10 @@ class TestOperatorValidation:
     def test_third_node_only_for_hh(self):
         with pytest.raises(GraphError):
             MoveOperator("A_arc", 0, 1, 2)
+
+    def test_unknown_kind(self):
+        with pytest.raises(GraphError, match="unknown operator kind 'A_ark'"):
+            MoveOperator("A_ark", 0, 1)
 
 
 class TestApplicability:
@@ -258,6 +262,18 @@ class TestClosure:
         apply_operator(g, MoveOperator("D_link", 0, 1))
         assert g == before
 
+    @pytest.mark.parametrize("apply, g, op", [
+        (apply_operator, g_from(3, links=[(0, 1)]),
+         MoveOperator("D_arc", 0, 1)),
+        (dag_apply_operator, g_from(3, arcs=[(0, 1), (1, 2)]),
+         MoveOperator("A_arc", 2, 0)),
+    ], ids=["rpdag", "dag"])
+    def test_inapplicable_move_refused(self, apply, g, op):
+        before = g.copy()
+        with pytest.raises(GraphError, match="not applicable"):
+            apply(g, op)
+        assert g == before
+
     def test_insertion_deletion_roundtrip(self):
         g = g_from(4, arcs=[(0, 1), (2, 1)])
         h = apply_operator(g, MoveOperator("A_arc", 1, 3))
@@ -414,6 +430,11 @@ class TestGreedy:
         bad = g_from(3, arcs=[(0, 1)])  # violates the restricted form
         with pytest.raises(GraphError):
             greedy_search(ds, Scorer(ds), start=bad)
+
+    def test_start_of_another_size_rejected(self, rng):
+        ds = random_dataset(3, 10, rng)
+        with pytest.raises(StartError, match="arity mismatch"):
+            greedy_search(ds, Scorer(ds), start=PartialDag(4))
 
     def test_returns_current_graph_after_sub_ulp_move(self, monkeypatch,
                                                       rng):
