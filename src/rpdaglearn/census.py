@@ -40,6 +40,11 @@ def enumerate_dags(n):
             yield g
 
 
+def rpdag_key(g):
+    """The key a restricted PDAG shares with every DAG extending it."""
+    return g.skeleton(), g.hh_patterns()
+
+
 def census(n):
     """Count DAGs, Markov equivalence classes, and restricted-PDAG keys."""
     if n > MAX_CENSUS_NODES:
@@ -49,16 +54,15 @@ def census(n):
     rpdag_keys = set()
     for g in enumerate_dags(n):
         dags += 1
-        skel = g.skeleton()
-        classes.add((skel, g.v_structures()))
-        rpdag_keys.add((skel, g.hh_patterns()))
+        key = rpdag_key(g)
+        classes.add((key[0], g.v_structures()))   # skeleton first
+        rpdag_keys.add(key)
     return CensusResult(n, dags, len(classes), len(rpdag_keys))
 
 
 def group_by_rpdag_key(n):
-    """Map (skeleton, hh patterns) -> list of DAGs sharing that key."""
+    """Map :func:`rpdag_key` -> list of DAGs sharing that key."""
     groups = {}
     for g in enumerate_dags(n):
-        key = (g.skeleton(), g.hh_patterns())
-        groups.setdefault(key, []).append(g)
+        groups.setdefault(rpdag_key(g), []).append(g)
     return groups

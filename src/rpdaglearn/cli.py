@@ -91,7 +91,7 @@ def _check_role(path, g, role):
     ("net") must be a DAG or a restricted PDAG."""
     problem = g.dag_problem()
     if problem and role == "net":
-        problem = g.rpdag_problem() and f"{problem}, and {g.rpdag_problem()}"
+        problem = (bad := g.rpdag_problem()) and f"{problem}, and {bad}"
     if problem:
         what = "gold network" if role == "gold" else "structure"
         raise data_mod.DataError(f"{path}: {what} is {problem}")
@@ -182,22 +182,17 @@ def cmd_census(args):
         raise UsageError(
             f"census supports 1 <= n <= {census_mod.MAX_CENSUS_NODES}")
     result = census_mod.census(args.n)
-    verified = True
-    if args.n <= 4:
-        for key, dags in census_mod.group_by_rpdag_key(args.n).items():
-            rep = dags[0].reduce_to_rpdag()
-            if not rep.is_rpdag():
-                verified = False
-            if rep.count_extensions() != len(dags):
-                verified = False
-            if any(h.reduce_to_rpdag() != rep for h in dags[1:]):
-                verified = False
+    verified = args.n > 4 or all(
+        rep.is_rpdag() and rep.count_extensions() == len(dags)
+        and all(h.reduce_to_rpdag() == rep for h in dags[1:])
+        for dags in census_mod.group_by_rpdag_key(args.n).values()
+        for rep in [dags[0].reduce_to_rpdag()])
     _print_table({"n": result.node_count, "DAGs": result.dag_count,
                   "classes": result.class_count,
                   "rpdag_keys": result.rpdag_key_count,
-                  "partition_verified": "yes" if args.n <= 4 and verified
-                  else ("no" if args.n <= 4 else "skipped")})
-    if args.n <= 4 and not verified:
+                  "partition_verified": "skipped" if args.n > 4
+                  else "yes" if verified else "no"})
+    if not verified:
         raise GraphError("partition properties violated")
     return EXIT_OK
 

@@ -47,15 +47,21 @@ class Dataset:
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise DataError(f"rows must be an (m, {self.n}) table, got "
                             f"shape {rows.shape}")
-        # Column-major: counting reads whole columns, so each one is kept
-        # contiguous in memory.
-        with np.errstate(invalid="ignore"):   # a NaN or inf cell fails below
-            self.rows = np.asfortranarray(rows, dtype=np.int64)
-        if rows.dtype != np.int64:
-            changed = np.flatnonzero((self.rows != rows).any(axis=0))
-            if changed.size:
-                raise DataError(f"variable {self.variable_names[changed[0]]} "
-                                f"has a cell that is not a whole number")
+        # Column-major, as counting reads whole columns.
+        if rows.dtype == np.int64:
+            self.rows = np.asfortranarray(rows)
+        else:
+            self.rows = np.empty(rows.shape, dtype=np.int64, order="F")
+            for i, name in enumerate(self.variable_names):
+                try:
+                    with np.errstate(invalid="ignore"):   # NaN, inf: see below
+                        self.rows[:, i] = rows[:, i]
+                    whole = np.array_equal(self.rows[:, i], rows[:, i])
+                except (TypeError, ValueError):   # a cell int() cannot read
+                    whole = False
+                if not whole:
+                    raise DataError(f"variable {name} has a cell that is not "
+                                    f"a whole number")
         if self.m > 0:
             for i, r in enumerate(self.cardinalities):
                 col = self.rows[:, i]
@@ -224,18 +230,15 @@ class BayesNet:
 
 def parent_configs(rows, parents, cardinalities):
     """Mixed-radix parent-configuration index of every row, the first of
-    ``parents`` most significant, and the configuration count q (a Python
-    int).  Callers pass the parents in ascending node order."""
+    ``parents`` most significant.  Callers pass the parents in ascending
+    node order."""
     if not parents:
-        return np.zeros(rows.shape[0], dtype=np.int64), 1
+        return np.zeros(rows.shape[0], dtype=np.int64)
     j = rows[:, parents[0]].astype(np.int64)
-    q = cardinalities[parents[0]]
     for p in parents[1:]:
-        r = cardinalities[p]
-        j *= r
+        j *= cardinalities[p]
         j += rows[:, p]
-        q *= r
-    return j, q
+    return j
 
 
 def family_counts(dataset, y, parents):
@@ -248,8 +251,7 @@ def family_counts(dataset, y, parents):
     r = dataset.cardinalities[y]
     q = math.prod(dataset.cardinalities[p] for p in parents)
     if q * r <= np.iinfo(np.intp).max:
-        j, _ = parent_configs(dataset.rows, [*parents, y],
-                              dataset.cardinalities)
+        j = parent_configs(dataset.rows, [*parents, y], dataset.cardinalities)
         try:
             return np.bincount(j, minlength=q * r).reshape(q, r)
         except MemoryError:
@@ -273,7 +275,7 @@ def sample(net, m, seed):
     n = net.structure.node_count
     rows = np.zeros((m, n), dtype=np.int64, order="F")
     for y in order:
-        j, _ = parent_configs(rows, net.parents(y), net.cardinalities)
+        j = parent_configs(rows, net.parents(y), net.cardinalities)
         table = net.cpts[y]
         u = rng.random(m)
         cum = np.cumsum(table, axis=1)

@@ -5,31 +5,18 @@ over nodes 0..n-1, with constant-time parent/child/neighbor lookups.  The
 module provides the structural queries needed by the local search: validity
 tests for restricted PDAGs, the undirected-cycle and directed-cycle path
 tests, the orientation cascades that restore validity after an edge change,
-extension to a representative DAG, and the skeleton/head-to-head equivalence
-key that groups DAGs extending the same restricted PDAG.
+extension to a representative DAG, and the skeleton and head-to-head
+patterns that :mod:`rpdaglearn.census` groups DAGs by.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 
 
 class GraphError(Exception):
     """Structural precondition violated (bad node, duplicate edge, ...)."""
-
-
-@dataclass(frozen=True)
-class EquivalenceKey:
-    """Skeleton plus head-to-head patterns of a DAG.
-
-    Two DAGs share a key iff they are extensions of the same restricted
-    PDAG.  Head-to-head triplets (x, y, z) are stored with x < z.
-    """
-
-    skeleton: frozenset
-    hh_patterns: frozenset
 
 
 class PartialDag:
@@ -98,12 +85,6 @@ class PartialDag:
     def ad(self, y):
         self._check_node(y)
         return self._pa[y] | self._ch[y] | self._ne[y]
-
-    def degrees(self, y):
-        """Return (p, c, n, a) = parent, child, neighbor, adjacent counts."""
-        self._check_node(y)
-        p, c, n = len(self._pa[y]), len(self._ch[y]), len(self._ne[y])
-        return p, c, n, p + c + n
 
     def is_adjacent(self, x, y):
         return y in self.ad(x)
@@ -419,32 +400,3 @@ class PartialDag:
         """Head-to-head patterns whose endpoints are non-adjacent."""
         return frozenset((x, y, z) for x, y, z in self.hh_patterns()
                          if not self.is_adjacent(x, z))
-
-    def equivalence_key(self):
-        if not self.is_dag():
-            raise GraphError("equivalence_key requires a DAG")
-        return EquivalenceKey(self.skeleton(), self.hh_patterns())
-
-
-def is_extension(g, h):
-    """True iff the DAG h extends the restricted PDAG g.
-
-    Checks the three-way characterization: same skeleton; any parented
-    node in g keeps exactly its parents in h; any unparented node of g
-    gains at most one parent in h.
-    """
-    if not g.is_rpdag():
-        raise GraphError("first argument must be a restricted PDAG")
-    if not h.is_dag():
-        raise GraphError("second argument must be a DAG")
-    if g.node_count != h.node_count:
-        raise GraphError("node count mismatch")
-    if g.skeleton() != h.skeleton():
-        return False
-    for y in range(g.node_count):
-        if g.pa(y):
-            if h.pa(y) != g.pa(y):
-                return False
-        elif h.pa(y) and len(h.pa(y)) != 1:
-            return False
-    return True

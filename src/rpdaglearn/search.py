@@ -12,6 +12,7 @@ tabu search in either space.
 from __future__ import annotations
 
 import functools
+import sys
 import time
 import types
 from collections import deque
@@ -21,7 +22,6 @@ from .graph import GraphError, PartialDag
 
 IMPROVE_TOL = 1e-12
 
-DAG_KINDS = ("A_arc", "D_arc", "R_arc")
 _KIND_ORDER = {"A_link": 0, "A_arc": 1, "A_hh": 2, "D_arc": 3,
                "D_link": 4, "R_arc": 5}
 
@@ -394,7 +394,7 @@ def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
     else:
         tll = n if tll is None else tll
         tsit = n * (n - 1) if tsit is None else tsit
-        if tll < 0 or tsit < 1:
+        if tll < 0 or not 1 <= tsit <= sys.maxsize:
             raise ValueError("tabu parameters out of range")
         # The list gains one entry per iteration, so a cap of tsit changes
         # no run and keeps deque's maxlen within a C ssize_t.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rpdaglearn.data import BayesNet, Dataset
-from rpdaglearn.graph import PartialDag
+from rpdaglearn.graph import GraphError, PartialDag
 
 
 def random_dag(n, rng, p=0.4):
@@ -52,6 +52,30 @@ def extension_by_definition(g, h):
     if not all(x in h.pa(y) for x, y in g.arcs()):
         return False
     return g.hh_patterns() == h.hh_patterns()
+
+
+def is_extension(g, h):
+    """True iff the DAG h extends the restricted PDAG g.
+
+    Checks the three-way characterization: same skeleton; any parented
+    node in g keeps exactly its parents in h; any unparented node of g
+    gains at most one parent in h.
+    """
+    if not g.is_rpdag():
+        raise GraphError("first argument must be a restricted PDAG")
+    if not h.is_dag():
+        raise GraphError("second argument must be a DAG")
+    if g.node_count != h.node_count:
+        raise GraphError("node count mismatch")
+    if g.skeleton() != h.skeleton():
+        return False
+    for y in range(g.node_count):
+        if g.pa(y):
+            if h.pa(y) != g.pa(y):
+                return False
+        elif h.pa(y) and len(h.pa(y)) != 1:
+            return False
+    return True
 
 
 def bdeu_sequential_oracle(dataset, y, parents, ess):

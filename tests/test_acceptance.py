@@ -10,11 +10,10 @@ from importlib.resources import files
 import numpy as np
 
 from conftest import (bdeu_sequential_oracle, extension_by_definition,
-                      random_dataset, random_rpdag)
+                      is_extension, random_dataset, random_rpdag)
 from rpdaglearn.census import census, enumerate_dags, group_by_rpdag_key
 from rpdaglearn.data import load_network, sample
 from rpdaglearn.evaluation import hamming
-from rpdaglearn.graph import PartialDag, is_extension
 from rpdaglearn.scoring import Scorer, bdeu_local, count_statistics
 from rpdaglearn.search import (MoveOperator, apply_operator,
                                dag_apply_operator, dag_is_applicable,

@@ -568,6 +568,9 @@ class TestUsage:
         ["learn", "--ess", "0"],
         ["learn", "--strategy", "tabu", "--tabu-iters", "0"],
         ["learn", "--strategy", "tabu", "--tabu-len", "-1"],
+        # Past a C ssize_t: no run could finish, and deque would overflow.
+        ["learn", "--strategy", "tabu", "--tabu-len", "100000000000000000000",
+         "--tabu-iters", "100000000000000000000"],
         ["sample", "--n", "-3"],
         # Bounded tabu runs, so a learner that took a NaN ess, or an ess
         # whose BDeu scores are not finite, would finish (greedy would

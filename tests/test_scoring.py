@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bdeu_sequential_oracle, random_dataset, random_rpdag
-from rpdaglearn.census import enumerate_dags
+from rpdaglearn.census import enumerate_dags, rpdag_key
 from rpdaglearn.data import DataError, Dataset
 from rpdaglearn.graph import GraphError, PartialDag
 from rpdaglearn.scoring import (LocalScoreCache, Scorer, bdeu_local,
@@ -146,7 +146,7 @@ class TestScoreEquivalence:
         scorer = Scorer(ds, "bdeu", ess=2.0)
         groups = {}
         for h in enumerate_dags(3):
-            groups.setdefault(h.equivalence_key(), []).append(h)
+            groups.setdefault(rpdag_key(h), []).append(h)
         for dags in groups.values():
             scores = [scorer.score_dag(h) for h in dags]
             assert max(scores) - min(scores) < 1e-9

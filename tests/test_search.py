@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import (random_dag, random_dataset, random_network,
-                      random_rpdag)
+from conftest import (is_extension, random_dag, random_dataset,
+                      random_network, random_rpdag)
 from rpdaglearn import search
-from rpdaglearn.census import enumerate_dags, group_by_rpdag_key
+from rpdaglearn.census import enumerate_dags, group_by_rpdag_key, rpdag_key
 from rpdaglearn.data import BayesNet, Dataset, sample
-from rpdaglearn.graph import GraphError, PartialDag, is_extension
+from rpdaglearn.graph import GraphError, PartialDag
 from rpdaglearn.scoring import Scorer
 from rpdaglearn.search import (MoveOperator, StartError, apply_operator,
                                dag_apply_operator,
@@ -14,6 +14,9 @@ from rpdaglearn.search import (MoveOperator, StartError, apply_operator,
                                dag_is_applicable, dag_tabu_search,
                                delta_score, enumerate_neighborhood,
                                greedy_search, is_applicable, tabu_search)
+
+
+DAG_KINDS = ("A_arc", "D_arc", "R_arc")
 
 
 def g_from(n, arcs=(), links=()):
@@ -177,7 +180,7 @@ def dag_oracle_neighborhood(g):
     """Every add/delete/reverse candidate filtered through
     dag_is_applicable, in tie-break order."""
     n = g.node_count
-    candidates = [MoveOperator(kind, x, y) for kind in search.DAG_KINDS
+    candidates = [MoveOperator(kind, x, y) for kind in DAG_KINDS
                   for x in range(n) for y in range(n) if x != y]
     return sorted((op for op in candidates if dag_is_applicable(g, op)),
                   key=MoveOperator.sort_key)
@@ -305,7 +308,7 @@ class TestNeighborhoodCompleteness:
                 for dags in group_by_rpdag_key(3).values()]
         reps.append(PartialDag(3))
         for g in reps:
-            got = {apply_operator(g, op).extend().equivalence_key()
+            got = {rpdag_key(apply_operator(g, op).extend())
                    for op in enumerate_neighborhood(g)}
             want = set()
             extensions = [h for h in enumerate_dags(3)
@@ -319,12 +322,12 @@ class TestNeighborhoodCompleteness:
                             if x in h.pa(y):
                                 h2 = h.copy()
                                 h2.remove_arc(x, y)
-                                want.add(h2.equivalence_key())
+                                want.add(rpdag_key(h2))
                         else:
                             h2 = h.copy()
                             h2.add_arc(x, y)
                             if h2.is_dag():
-                                want.add(h2.equivalence_key())
+                                want.add(rpdag_key(h2))
             assert got == want, g
 
 
