@@ -24,6 +24,7 @@ CPT_ROW_TOL = 1e-9
 DEFAULT_MISSING_TOKEN = "?"
 CSV_BLOCK_ROWS = 4096  # records decoded at a time by load_csv
 _INT32_IDS = 2 ** 31   # token ids below this fit int32
+_INTP_MAX = np.iinfo(np.intp).max  # the most cells a count table can index
 _JSON_TYPES = {dict: "object", list: "array", str: "string"}
 
 
@@ -250,7 +251,7 @@ def family_counts(dataset, y, parents):
     """
     r = dataset.cardinalities[y]
     q = math.prod(dataset.cardinalities[p] for p in parents)
-    if q * r <= np.iinfo(np.intp).max:
+    if q * r <= _INTP_MAX:
         j = parent_configs(dataset.rows, [*parents, y], dataset.cardinalities)
         try:
             return np.bincount(j, minlength=q * r).reshape(q, r)

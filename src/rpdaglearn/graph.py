@@ -3,16 +3,19 @@
 A ``PartialDag`` holds arcs (directed edges) and links (undirected edges)
 over nodes 0..n-1, with constant-time parent/child/neighbor lookups.  The
 module provides the structural queries needed by the local search: validity
-tests for restricted PDAGs, the undirected-cycle and directed-cycle path
-tests, the orientation cascades that restore validity after an edge change,
-extension to a representative DAG, and the skeleton and head-to-head
-patterns that :mod:`rpdaglearn.census` groups DAGs by.
+tests for restricted PDAGs, the cycle path tests (and a boolean reach
+matrix answering all of them), the orientation cascades that restore
+validity after an edge change, extension to a representative DAG, and the
+skeleton and head-to-head patterns that :mod:`rpdaglearn.census` groups
+DAGs by.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+
+import numpy as np
 
 
 class GraphError(Exception):
@@ -217,19 +220,8 @@ class PartialDag:
         """True iff a links-only path joins x and y (the UC test)."""
         self._check_node(x)
         self._check_node(y)
-        if x == y:
-            return True
-        seen = {x}
-        queue = deque([x])
-        while queue:
-            u = queue.popleft()
-            for t in self._ne[u]:
-                if t == y:
-                    return True
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return False
+        return any(x in comp and y in comp
+                   for comp in self.chain_components())
 
     def partially_directed_reachable(self, y, x, skip_link=None):
         """True iff a semi-directed path runs from y to x (the DC test).
@@ -259,6 +251,25 @@ class PartialDag:
                     seen.add(t)
                     stack.append(t)
         return seen
+
+    def matrices(self):
+        """Boolean n x n arrays: ``arcs[x, y]`` iff x->y, ``links[x, y]``
+        iff x-y, and ``reach[y, x]`` iff x is in :meth:`semi_directed_reach`
+        of y, squared out of ``arcs | links`` until it settles (float32
+        counts the at most n paths of each product exactly)."""
+        n = self.node_count
+        arcs = np.zeros((n, n), dtype=bool)
+        links = np.zeros((n, n), dtype=bool)
+        for edges, sets in ((arcs, self._pa), (links, self._ne)):
+            edges[[x for s in sets for x in s],
+                  [y for y, s in enumerate(sets) for _ in s]] = True
+        reach = arcs | links | np.eye(n, dtype=bool)
+        while True:
+            step = reach.astype(np.float32)
+            longer = (step @ step) > 0
+            if (longer == reach).all():
+                return arcs, links, reach
+            reach = longer
 
     # -- cascades --------------------------------------------------------
 

@@ -83,8 +83,8 @@ def bdeu_local(table, ess, prior="uniform"):
     value = math.nan
     if math.isfinite(lg_j) and math.isfinite(lg_jk):
         nj = table.marginals
-        value = float(np.sum(lg_j - gammaln(a_j + nj))
-                      + np.sum(gammaln(a_jk + table.counts) - lg_jk))
+        value = float((lg_j - gammaln(a_j + nj)).sum()
+                      + (gammaln(a_jk + table.counts) - lg_jk).sum())
     if not math.isfinite(value):
         raise ValueError(f"ess {ess} gives a BDeu score that is not finite")
     if prior == "param-penalty":

@@ -7,23 +7,32 @@ operator's score change is computed from exactly two local scores.  The
 DAG baseline uses arc addition, deletion, and reversal (reversal costs
 two local-score pairs).  One search loop runs greedy or fixed-iteration
 tabu search in either space.
+
+Each iteration builds the neighbourhood as one boolean mask per move kind
+(:class:`Neighbourhood`) from the graph's reach matrix.  The loop keeps
+computed deltas in arrays laid out like the masks, computes only masked
+entries not yet kept, and picks the first maximal move with one argmax.
+A delta stays valid until a parent set it reads changes: Pa(y) for arc
+additions and deletions, also Pa(x) for a DAG reversal, none otherwise.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import sys
 import time
 import types
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graph import GraphError, PartialDag
 
 IMPROVE_TOL = 1e-12
 
-_KIND_ORDER = {"A_link": 0, "A_arc": 1, "A_hh": 2, "D_arc": 3,
-               "D_link": 4, "R_arc": 5}
+_KINDS = ("A_link", "A_arc", "A_hh", "D_arc", "D_link", "R_arc")
+_KIND_ORDER = {kind: i for i, kind in enumerate(_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -158,78 +167,96 @@ def delta_score(g, op, scorer):
                 + local(x, pax | {y}) - local(x, pax))
 
 
-# Operators are frozen values, so the enumerator hands out one shared
-# instance per distinct move instead of building a new one every iteration,
-# and the delta cache's lookups match it by identity, not field by field.
-# The bound caps the memory held.
-_operator = functools.lru_cache(maxsize=1 << 16)(MoveOperator)
+class Neighbourhood:
+    """The applicable moves of one graph as boolean masks, one per kind.
+
+    ``masks[kind][x, y]`` marks the move (kind, x, y), except that column i
+    of the A_hh mask stands for the link ``links[i]`` = (y, z), sorted.
+    Read row by row and laid end to end in kind order, the masks list the
+    moves in :meth:`MoveOperator.sort_key` order: ``flat`` is that layout,
+    and ``start[k]`` where the k-th kind of ``_KINDS`` begins in it."""
+
+    def __init__(self, n, masks, links=()):
+        self.n, self.links = n, list(links)
+        self.masks = {kind: masks.get(kind, np.zeros(
+            (n, len(self.links) if kind == "A_hh" else n), dtype=bool))
+            for kind in _KINDS}
+        self.flat = np.concatenate([m.ravel() for m in self.masks.values()])
+        self.start = np.cumsum(
+            [0] + [m.size for m in self.masks.values()]).tolist()
+
+    def __len__(self):
+        return int(np.count_nonzero(self.flat))
+
+    def move(self, i):
+        """The move at position i of ``flat``."""
+        k = bisect.bisect_right(self.start, i) - 1   # skips empty masks
+        kind = _KINDS[k]
+        x, c = divmod(i - self.start[k], self.masks[kind].shape[1])
+        if kind == "A_hh":
+            return MoveOperator(kind, x, *self.links[c])
+        return MoveOperator(kind, x, c)
+
+    def positions(self, signature):
+        """Positions of the moves with a tabu signature (see
+        :func:`_signature`): A_arc x->y also stands for each A_hh(x, y, z)."""
+        kind, x, y = signature
+        out = [self.start[_KIND_ORDER[kind]] + x * self.n + y]
+        if kind == "A_arc":
+            first = self.start[_KIND_ORDER["A_hh"]] + x * len(self.links)
+            out += [first + c for c, (v, _) in enumerate(self.links) if v == y]
+        return out
+
+    def moves(self):
+        return [self.move(i) for i in np.flatnonzero(self.flat).tolist()]
+
+
+def _rpdag_neighbourhood(g):
+    """The applicable restricted-PDAG moves of g, from one reach matrix.
+
+    The UC test of x-y holds iff x reaches y: between parentless nodes a
+    semi-directed path can only run along links (condition 1).  Each A_arc
+    DC test reads the reach of y, and each A_hh DC test one reach set of
+    y with the redirected link y-z skipped."""
+    n = g.node_count
+    arcs, links, reach = g.matrices()
+    pa, ch, ne = arcs.any(0), arcs.any(1), links.any(1)
+    free = ~(arcs | arcs.T | links | np.eye(n, dtype=bool))
+    hh_links = [(y, z) for y in np.flatnonzero(ne & ~pa).tolist()
+                for z in sorted(g._ne[y])]
+    outgoing, anchored = ch | (links.sum(1) >= 2), pa | ne
+    hh = free[:, [y for y, _ in hh_links]]
+    for i, (y, z) in enumerate(hh_links):
+        if outgoing[y] and (hh[:, i] & anchored).any():
+            reached = list(g.semi_directed_reach(y, (y, z)))
+            hh[reached, i] &= ~anchored[reached]
+    return Neighbourhood(n, {
+        "A_link": np.triu(free & ~pa[:, None] & ~pa & ~reach, 1),
+        "A_arc": free & (pa[:, None] | pa)
+        & ~(pa[:, None] & (ch | ne) & reach.T),
+        "A_hh": hh, "D_arc": arcs, "D_link": np.triu(links, 1)}, hh_links)
 
 
 def enumerate_neighborhood(g):
-    """All applicable operators on g, deduplicated (undirected moves are
-    emitted once, with x < y) and in deterministic tie-break order.
-
-    The list equals every candidate filtered through :func:`is_applicable`
-    and sorted by :meth:`MoveOperator.sort_key`, built in one pass: the UC
-    test compares link-component ids and each DC test reads one
-    semi-directed reach set per source node (and skipped link)."""
-    n = g.node_count
-    pa, ch, ne = g._pa, g._ch, g._ne
-    component = [0] * n
-    for i, comp in enumerate(g.chain_components()):
-        for v in comp:
-            component[v] = i
-    reach = {}      # (y, skipped neighbour or None) -> semi-directed reach
-
-    def reaches(y, x, z=None):
-        key = (y, z)
-        if key not in reach:
-            reach[key] = g.semi_directed_reach(
-                y, None if z is None else (y, z))
-        return x in reach[key]
-
-    neighbours = [sorted(s) for s in ne]
-    links, arcs, hhs = [], [], []
-    for x in range(n):
-        adjacent = pa[x] | ch[x] | ne[x]
-        anchored = bool(pa[x] or ne[x])
-        for y in range(n):
-            if x == y or y in adjacent:
-                continue
-            if not (pa[x] or pa[y]):
-                if x < y and component[x] != component[y]:
-                    links.append(_operator("A_link", x, y))
-            elif not (pa[x] and (ch[y] or ne[y]) and reaches(y, x)):
-                arcs.append(_operator("A_arc", x, y))
-            if pa[y]:
-                continue
-            outgoing = ch[y] or len(ne[y]) >= 2
-            for z in neighbours[y]:
-                if z != x and not (outgoing and anchored
-                                   and reaches(y, x, z)):
-                    hhs.append(_operator("A_hh", x, y, z))
-    return (links + arcs + hhs
-            + [_operator("D_arc", x, y) for x, y in sorted(g.arcs())]
-            + [_operator("D_link", x, y) for x, y in sorted(g.links())])
+    """All applicable operators on g in tie-break order, link moves once
+    with x < y: every candidate that :func:`is_applicable` accepts, sorted
+    by :meth:`MoveOperator.sort_key`, read from
+    :func:`_rpdag_neighbourhood`."""
+    return _rpdag_neighbourhood(g).moves()
 
 
 # -- DAG-space operators -----------------------------------------------------
 
 
 def _directed_reachable(g, src, dst, skip_arc=None):
-    stack = [src]
-    seen = {src}
+    """True iff arcs other than ``skip_arc`` lead from src to dst != src."""
+    seen, stack = {src}, [src]
     while stack:
         u = stack.pop()
-        for t in g.ch(u):
-            if skip_arc is not None and (u, t) == skip_arc:
-                continue
-            if t == dst:
-                return True
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return False
+        ahead = {t for t in g.ch(u) if t not in seen and (u, t) != skip_arc}
+        seen |= ahead
+        stack += ahead
+    return dst in seen
 
 
 def dag_is_applicable(g, op):
@@ -263,24 +290,23 @@ def dag_apply_operator(g, op):
     return _dag_apply_inplace(g.copy(), op)
 
 
-def dag_enumerate_neighborhood(g):
-    """All applicable add/delete/reverse moves on the DAG g, in
-    tie-break order.
+def _dag_neighbourhood(g):
+    """The applicable add/delete/reverse moves on the DAG g, from one
+    descendant matrix: x->y closes a cycle iff x descends from y, and
+    reversing x->y does iff y descends from another child of x."""
+    arcs, _, desc = g.matrices()
+    # desc is reflexive, so the first test also rules out x == y, and
+    # each arc x->y counts y itself among the children y descends from.
+    into = arcs.astype(np.float32) @ desc.astype(np.float32)
+    return Neighbourhood(g.node_count, {
+        "A_arc": ~arcs & ~desc.T, "D_arc": arcs, "R_arc": arcs & (into == 1)})
 
-    The list equals every candidate filtered through
-    :func:`dag_is_applicable` and sorted by :meth:`MoveOperator.sort_key`,
-    built in one pass from one descendant set per node: x->y closes a
-    cycle iff x descends from y, and reversing x->y does iff y descends
-    from another child of x."""
-    n, ch = g.node_count, g._ch
-    desc = [g.semi_directed_reach(v) for v in range(n)]
-    arcs = sorted(g.arcs())
-    # x in desc[x], so the descendant test also rules out x == y.
-    return ([_operator("A_arc", x, y) for x in range(n) for y in range(n)
-             if y not in ch[x] and x not in desc[y]]
-            + [_operator("D_arc", x, y) for x, y in arcs]
-            + [_operator("R_arc", x, y) for x, y in arcs
-               if not any(y in desc[c] for c in ch[x] if c != y)])
+
+def dag_enumerate_neighborhood(g):
+    """All applicable moves on the DAG g in tie-break order: every
+    candidate that :func:`dag_is_applicable` accepts, sorted by
+    :meth:`MoveOperator.sort_key`, read from :func:`_dag_neighbourhood`."""
+    return _dag_neighbourhood(g).moves()
 
 
 # -- tabu bookkeeping --------------------------------------------------------
@@ -312,82 +338,47 @@ class StartError(GraphError):
 
 # The operator set of a search space, as a settable record.
 _Space = types.SimpleNamespace
-_RPDAG_SPACE = _Space(neighborhood=enumerate_neighborhood, delta=delta_score,
+_RPDAG_SPACE = _Space(neighborhood=_rpdag_neighbourhood, delta=delta_score,
                       apply_inplace=_apply_inplace,
                       initial_score=lambda scorer, g: scorer.score_rpdag(g),
                       start_problem=PartialDag.rpdag_problem)
-_DAG_SPACE = _Space(neighborhood=dag_enumerate_neighborhood, delta=delta_score,
+_DAG_SPACE = _Space(neighborhood=_dag_neighbourhood, delta=delta_score,
                     apply_inplace=_dag_apply_inplace,
                     initial_score=lambda scorer, g: scorer.score_dag(g),
                     start_problem=PartialDag.dag_problem)
 
 
-def _prepare_start(dataset, start, space):
-    g = PartialDag(dataset.n) if start is None else start.copy()
-    if g.node_count != dataset.n:
-        raise StartError("start structure / dataset arity mismatch")
-    problem = space.start_problem(g)
-    if problem:
-        raise StartError(f"start structure invalid: {problem}")
-    return g
-
-
-def _parents_read(op):
-    """Nodes whose parent sets the delta of ``op`` reads; the link and
-    head-to-head moves score fixed families."""
-    if op.kind in ("A_arc", "D_arc"):
-        return (op.y,)
-    if op.kind == "R_arc":
-        return (op.x, op.y)
-    return ()
-
-
-class _DeltaCache:
-    """Operator deltas kept across the iterations of one search.
-
-    A delta stays valid until a parent set it reads (see
-    :func:`_parents_read`) changes, so after each move only the deltas
-    reading a changed parent set are dropped.  ``space.delta`` runs only
-    on a miss; ``misses`` counts those runs (the ``Ind`` counter)."""
-
-    def __init__(self, space, scorer, n):
-        self.space, self.scorer = space, scorer
-        self.values = {}
-        self.readers = [[] for _ in range(n)]
-        self.misses = 0
-
-    def scored(self, g):
-        """(operator, delta) for each move of g's neighbourhood."""
-        values = self.values
-        for op in self.space.neighborhood(g):
-            d = values.get(op)
-            if d is None:
-                d = values[op] = self.space.delta(g, op, self.scorer)
-                self.misses += 1
-                for v in _parents_read(op):
-                    self.readers[v].append(op)
-            yield op, d
-
-    def apply(self, g, op):
-        """Apply op to g in place, cascades included, and drop the deltas
-        that read a parent set it changed."""
-        before = [set(p) for p in g._pa]
-        self.space.apply_inplace(g, op)
-        for v, parents in enumerate(g._pa):
-            if parents != before[v]:
-                for stale in self.readers[v]:
-                    self.values.pop(stale, None)
-                self.readers[v] = []
+def _scored(g, nb, deltas, space, scorer):
+    """The delta of every move of ``nb`` in its flat layout, -inf off the
+    masks, and how many ``space.delta`` computed: one per move whose kept
+    delta is NaN.  ``deltas`` holds an n x n array per pair kind and, for
+    A_hh, a length-n vector (over x) per link (y, z)."""
+    n = g.node_count
+    hh = deltas["A_hh"]
+    unset = np.full(n, np.nan)
+    kept = np.concatenate([
+        np.array([hh.get(link, unset) for link in nb.links]).T.ravel()
+        if kind == "A_hh" else deltas[kind].ravel() for kind in _KINDS])
+    missing = np.flatnonzero(nb.flat & np.isnan(kept)).tolist()
+    for i in missing:
+        op = nb.move(i)
+        d = kept[i] = space.delta(g, op, scorer)
+        if op.kind == "A_hh":
+            hh.setdefault((op.y, op.z), unset.copy())[op.x] = d
+        else:
+            deltas[op.kind][op.x, op.y] = d
+    return np.where(nb.flat, kept, -np.inf), len(missing)
 
 
 def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
     """The one search loop.  Each iteration applies the first maximal move
     the tabu list does not block, or the first maximal move when every move
-    is blocked; the list is read only for a move that beats the allowed one
-    so far.  Greedy keeps no tabu list and stops before a move whose
-    delta is at most IMPROVE_TOL; its best graph is its current graph,
-    since an applied move may gain less than the score's ulp.  Tabu runs
-    tsit iterations and keeps a copy of the best graph seen."""
+    is blocked: one argmax over the scored neighbourhood, and a second one
+    only when the list blocks the first.  Greedy keeps no tabu list and
+    stops before a move whose delta is at most IMPROVE_TOL; its best graph
+    is its current graph, since an applied move may gain less than the
+    score's ulp.  Tabu runs tsit iterations and keeps a copy of the best
+    graph seen."""
     n = dataset.n
     if greedy:
         tll = 0
@@ -400,30 +391,47 @@ def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
         # no run and keeps deque's maxlen within a C ssize_t.
         tll = min(tll, tsit)
     t0 = time.perf_counter()
-    g = _prepare_start(dataset, start, space)
+    g = PartialDag(dataset.n) if start is None else start.copy()
+    if g.node_count != dataset.n:
+        raise StartError("start structure / dataset arity mismatch")
+    if problem := space.start_problem(g):
+        raise StartError(f"start structure invalid: {problem}")
     best_graph = g if greedy else g.copy()
     total = best_score = space.initial_score(scorer, g)
     best_iteration = 0
-    deltas = _DeltaCache(space, scorer, n)
+    deltas = {kind: {} if kind == "A_hh" else np.full((n, n), np.nan)
+              for kind in _KINDS}
+    misses = 0
     tabu = deque(maxlen=tll)
     trace = []
     while greedy or len(trace) < tsit:
-        best = allowed = None
-        for op, d in deltas.scored(g):
-            if best is None or d > best[1]:
-                best = op, d
-            if (allowed is None or d > allowed[1]) and not (
-                    tabu and _signature(op) in tabu
-                    and total + d <= best_score + IMPROVE_TOL):
-                allowed = op, d
-        chosen = allowed or best
-        if chosen is None or (greedy and chosen[1] <= IMPROVE_TOL):
+        nb = space.neighborhood(g)
+        values, computed = _scored(g, nb, deltas, space, scorer)
+        misses += computed
+        if not nb.flat.any():
             break
-        op, d = chosen
+        i = int(np.argmax(values))
+        if tabu and _signature(nb.move(i)) in tabu and (
+                total + values[i] <= best_score + IMPROVE_TOL):
+            listed = np.array([p for s in tabu for p in nb.positions(s)])
+            allowed = values.copy()
+            allowed[listed[total + values[listed]
+                           <= best_score + IMPROVE_TOL]] = -np.inf
+            j = int(np.argmax(allowed))
+            if allowed[j] > -np.inf:
+                i = j
+        op, d = nb.move(i), float(values[i])
+        if greedy and d <= IMPROVE_TOL:
+            break
         tabu.append(_inverse_signature(op))
-        deltas.apply(g, op)
+        before = [set(p) for p in g._pa]
+        space.apply_inplace(g, op)
+        changed = [v for v, p in enumerate(g._pa) if p != before[v]]
+        for kind in ("A_arc", "D_arc", "R_arc"):   # the deltas reading Pa(y)
+            deltas[kind][:, changed] = np.nan
+        deltas["R_arc"][changed] = np.nan
         total += d
-        trace.append(chosen)
+        trace.append((op, d))
         if greedy:
             best_score, best_iteration = total, len(trace)
         elif total > best_score + IMPROVE_TOL:
@@ -431,7 +439,7 @@ def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
             best_iteration = len(trace)
     report = SearchReport(
         best_score=best_score, iterations_applied=len(trace),
-        best_iteration=best_iteration, individuals_evaluated=deltas.misses,
+        best_iteration=best_iteration, individuals_evaluated=misses,
         evaluated=scorer.cache.evaluated, requested=scorer.cache.requested,
         nvars=scorer.cache.nvars,
         wall_time_seconds=time.perf_counter() - t0,

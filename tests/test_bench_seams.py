@@ -2,11 +2,17 @@
 
 ``bench/tracer.py`` wraps the package's layer boundaries by attribute
 name, so renaming or removing one of them would otherwise show only when
-the benchmark runs.
+the benchmark runs.  The traced call counts must also equal the search's
+own counters, as the benchmark checks on every traced learn.
 """
 
 import importlib
 from pathlib import Path
+
+import pytest
+
+from conftest import random_network
+from rpdaglearn import Scorer, sample, search
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -25,3 +31,27 @@ def test_tracer_installs_and_restores_every_target(monkeypatch):
         t.restore()
     for (owner, attr), original in zip(targets, originals):
         assert getattr(owner, attr) is original, attr
+
+
+@pytest.mark.parametrize("space", ["rpdag", "dag"])
+@pytest.mark.parametrize("strategy", ["greedy", "tabu"])
+def test_traced_calls_equal_search_counters(monkeypatch, space, strategy):
+    # The benchmark's wiring check at more than its self-test's n = 6:
+    # each traced call count equals the counter the search reports.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    run = {("rpdag", "greedy"): search.greedy_search,
+           ("rpdag", "tabu"): search.tabu_search,
+           ("dag", "greedy"): search.dag_greedy_search,
+           ("dag", "tabu"): search.dag_tabu_search}[space, strategy]
+    ds = sample(random_network(12, seed=12, p=0.3), 2000, seed=12)
+    kwargs = {} if strategy == "greedy" else {"tsit": 40}
+    with tracer.Tracer() as t:
+        _, report = run(ds, Scorer(ds), **kwargs)
+    calls = t.calls
+    assert report.iterations_applied > 5
+    assert calls["search.delta"] == report.individuals_evaluated
+    assert calls["scoring.local"] == report.requested
+    assert calls["scoring.count"] == report.evaluated
+    assert calls["search.neighborhood"] == (report.iterations_applied
+                                            + (strategy == "greedy"))

@@ -91,6 +91,28 @@ class TestPathTests:
         g = g_from(3, links=[(0, 1)])
         assert not g.partially_directed_reachable(0, 1, skip_link=(0, 1))
 
+    def test_matrices_match_edges_and_reach_sets(self, rng):
+        # Random DAGs and restricted PDAGs, n = 0..12, and graphs with a
+        # directed cycle and a link cycle, which the closure must also
+        # cover.
+        graphs = [PartialDag(0), g_from(4, arcs=[(0, 1), (1, 2), (2, 0)]),
+                  g_from(4, links=[(0, 1), (1, 2), (2, 0)], arcs=[(2, 3)])]
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            p = float(rng.uniform(0.05, 0.6))
+            graphs += [random_dag(n, rng, p), random_rpdag(n, rng, p)]
+        for g in graphs:
+            arcs, links, reach = g.matrices()
+            n = g.node_count
+            assert {(x, y) for x, y in zip(*np.nonzero(arcs))} \
+                == set(g.arcs())
+            assert {(x, y) for x, y in zip(*np.nonzero(links)) if x < y} \
+                == set(g.links())
+            assert (links == links.T).all()
+            for y in range(n):
+                assert set(np.flatnonzero(reach[y])) \
+                    == g.semi_directed_reach(y), (g, y)
+
 
 class TestCascades:
     def test_complete_single_step(self):

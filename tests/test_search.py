@@ -365,6 +365,45 @@ class TestDeltaScore:
             assert dag_apply_operator(h, op).is_dag()
 
 
+def record_scored(monkeypatch):
+    """Make the search loop record each iteration's scored neighbourhood,
+    as (move, delta) pairs in tie-break order; returns the record."""
+    scored = search._scored
+    neighbourhoods = []
+
+    def recorded(g, nb, deltas, space, scorer):
+        values, computed = scored(g, nb, deltas, space, scorer)
+        neighbourhoods.append(list(zip(nb.moves(), values[nb.flat].tolist(),
+                                       strict=True)))
+        return values, computed
+
+    monkeypatch.setattr(search, "_scored", recorded)
+    return neighbourhoods
+
+
+def replay_tabu(neighbourhoods, report, start_score, tll):
+    """Replay the tabu list and the best score of a tabu run from its
+    trace.  Returns one record per iteration: the scored moves, the pool
+    the rule picks from (the allowed moves, or every move when all are
+    blocked), the applied move, whether the list held it and whether it
+    set a new best; and the best score."""
+    total = best = start_score
+    tabu, steps = [], []
+    for moves, applied in zip(neighbourhoods, report.trace, strict=True):
+        allowed = [(op, d) for op, d in moves
+                   if not (search._signature(op) in tabu[-tll:]
+                           and total + d <= best + search.IMPROVE_TOL)]
+        op, d = applied
+        listed = search._signature(op) in tabu[-tll:]
+        tabu.append(search._inverse_signature(op))
+        total += d
+        improved = total > best + search.IMPROVE_TOL
+        if improved:
+            best = total
+        steps.append((moves, allowed or moves, applied, listed, improved))
+    return steps, best
+
+
 def five_node_net():
     # x -> y <- z, z -> w, v isolated
     g = PartialDag.from_edges(5, arcs=[(0, 1), (2, 1), (2, 3)])
@@ -380,19 +419,21 @@ class TestDeltaCache:
     @pytest.mark.parametrize("run", [
         greedy_search, tabu_search, dag_greedy_search, dag_tabu_search])
     def test_used_deltas_equal_fresh_deltas(self, monkeypatch, run):
-        # At every iteration, each delta the driver compares (cached or
+        # At every iteration, each delta the search loop compares (kept or
         # not) equals the space's delta against a fresh scorer.
-        scored = search._DeltaCache.scored
+        scored = search._scored
         used = []
 
-        def checked(cache, g):
-            fresh = Scorer(cache.scorer.dataset)
-            for op, d in scored(cache, g):
-                assert d == cache.space.delta(g, op, fresh), op
+        def checked(g, nb, deltas, space, scorer):
+            values, computed = scored(g, nb, deltas, space, scorer)
+            fresh = Scorer(scorer.dataset)
+            for op, d in zip(nb.moves(), values[nb.flat].tolist(),
+                             strict=True):
+                assert d == space.delta(g, op, fresh), op
                 used.append(op)
-                yield op, d
+            return values, computed
 
-        monkeypatch.setattr(search._DeltaCache, "scored", checked)
+        monkeypatch.setattr(search, "_scored", checked)
         ds = sample(random_network(7, seed=3, p=0.4), 1500, seed=3)
         _, report = run(ds, Scorer(ds))
         assert report.iterations_applied > 3
@@ -449,9 +490,11 @@ class TestGreedy:
         gain = 5e-12
         start_score = -1e6
         assert start_score + gain == start_score
+        one = np.eye(2, k=1, dtype=bool)       # the pair (0, 1) only
         stub = search._Space(
-            neighborhood=lambda g: [delete if g.pa(1) else add],
-            delta=lambda g, op, scorer: gain if op is add else -gain,
+            neighborhood=lambda g: search.Neighbourhood(
+                2, {(delete if g.pa(1) else add).kind: one}),
+            delta=lambda g, op, scorer: gain if op == add else -gain,
             apply_inplace=search._dag_apply_inplace,
             initial_score=lambda scorer, g: start_score,
             start_problem=PartialDag.dag_problem)
@@ -578,35 +621,84 @@ class TestTabuSelection:
         # checks every applied move against each iteration's scored
         # neighbourhood.  The seeds give runs in which the list overrules
         # the first maximal move and aspiration admits a listed move.
-        scored = search._DeltaCache.scored
-        neighbourhoods = []
-
-        def recorded(cache, g):
-            moves = list(scored(cache, g))
-            neighbourhoods.append(moves)
-            yield from moves
-
-        monkeypatch.setattr(search._DeltaCache, "scored", recorded)
+        neighbourhoods = record_scored(monkeypatch)
         ds = sample(random_network(7, seed=seed, p=0.4), 1500, seed=seed)
         tll = 7
         _, report = run(ds, Scorer(ds), tll=tll, tsit=60)
-        total = best = getattr(Scorer(ds), rescore)(PartialDag(7))
-        tabu, overruled, aspirated = [], 0, 0
-        for moves, applied in zip(neighbourhoods, report.trace, strict=True):
-            allowed = [(op, d) for op, d in moves
-                       if not (search._signature(op) in tabu[-tll:]
-                               and total + d
-                               <= best + search.IMPROVE_TOL)]
-            pool = allowed or moves
+        steps, best = replay_tabu(
+            neighbourhoods, report,
+            getattr(Scorer(ds), rescore)(PartialDag(7)), tll)
+        overruled = aspirated = 0
+        for moves, pool, applied, listed, improved in steps:
             top = max(d for _, d in pool)
             assert applied == next(m for m in pool if m[1] == top)
             overruled += applied != max(moves, key=lambda m: m[1])
-            op, d = applied
-            listed = search._signature(op) in tabu[-tll:]
-            tabu.append(search._inverse_signature(op))
-            total += d
-            if total > best + search.IMPROVE_TOL:
-                best = total
-                aspirated += listed
+            aspirated += listed and improved
         assert report.best_score == best
         assert overruled > 0 and aspirated > 0
+
+
+def twin_columns():
+    """Data in which a1 and a2 are one column twice, b follows it in 80%
+    of the rows and n is noise: a move and its copy with a1 and a2
+    swapped score exactly alike."""
+    rng = np.random.default_rng(2)
+    a = rng.integers(0, 2, 400)
+    noise = rng.integers(0, 3, 400)
+    b = np.where(rng.random(400) < 0.8, a, 1 - a)
+    return Dataset(["n", "a1", "a2", "b"], [3, 2, 2, 2],
+                   np.column_stack([noise, a, a, b]))
+
+
+def first_tied(pool):
+    """The moves of pool whose delta is the maximum, and the first of
+    them in sort_key order."""
+    top = max(d for _, d in pool)
+    tied = [m for m in pool if m[1] == top]
+    return tied, min(tied, key=lambda m: m[0].sort_key())
+
+
+class TestTieBreak:
+    """Moves with exactly equal deltas: the first in sort_key order is
+    applied."""
+
+    @pytest.mark.parametrize("run, first_moves", [
+        (greedy_search, [("A_link", 1, 2), ("A_link", 1, 3)]),
+        (dag_greedy_search, [("A_arc", 1, 2), ("A_arc", 1, 3)]),
+    ], ids=["rpdag", "dag"])
+    def test_greedy(self, monkeypatch, run, first_moves):
+        # rpdag: the second move ties A_link(1, 3) with A_link(2, 3).  DAG:
+        # the first ties A_arc(1, 2) with A_arc(2, 1), the second A_arc(1,
+        # 3) with A_arc(2, 3) and A_arc(3, 1).
+        neighbourhoods = record_scored(monkeypatch)
+        ds = twin_columns()
+        _, report = run(ds, Scorer(ds))
+        assert [(op.kind, op.x, op.y)
+                for op, _ in report.trace[:2]] == first_moves
+        ties = 0
+        for moves, applied in zip(neighbourhoods, report.trace):
+            tied, first = first_tied(moves)
+            assert applied == first
+            ties += len(tied) > 1
+        assert ties >= 1
+
+    @pytest.mark.parametrize("run, rescore", [
+        (tabu_search, "score_rpdag"), (dag_tabu_search, "score_dag")],
+        ids=["rpdag", "dag"])
+    def test_tabu_allowed_pick(self, monkeypatch, run, rescore):
+        # Iterations in which the list blocks the first maximal move and
+        # two allowed moves tie: the first of those two is applied.
+        neighbourhoods = record_scored(monkeypatch)
+        ds = twin_columns()
+        tll = 4
+        _, report = run(ds, Scorer(ds), tll=tll, tsit=12)
+        steps, _ = replay_tabu(
+            neighbourhoods, report,
+            getattr(Scorer(ds), rescore)(PartialDag(4)), tll)
+        overruled_ties = 0
+        for moves, pool, applied, _, _ in steps:
+            tied, first = first_tied(pool)
+            assert applied == first
+            overruled_ties += (len(tied) > 1
+                               and applied != first_tied(moves)[1])
+        assert overruled_ties > 0
