@@ -49,8 +49,11 @@ def count_statistics(dataset, y, parents):
     parents = sorted(parents)
     if y in parents:
         raise GraphError("child cannot be its own parent")
+    if len(set(parents)) != len(parents):
+        raise GraphError("a parent is named twice")
+    n = dataset.n
     for v in (y, *parents):
-        if not 0 <= v < dataset.n:
+        if not 0 <= v < n:
             raise GraphError(f"node index {v} out of range")
     counts = family_counts(dataset, y, parents)
     return ContingencyTable(counts, dataset.cardinalities[y], counts.shape[0])

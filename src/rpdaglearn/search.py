@@ -12,6 +12,8 @@ Each iteration builds the neighbourhood as one boolean mask per move kind
 (:class:`Neighbourhood`) from the graph's reach matrix.  The loop keeps
 computed deltas in arrays laid out like the masks, computes only masked
 entries not yet kept, and picks the first maximal move with one argmax.
+Tabu search knocks out the moves its list blocks, one at a time from the
+top, taking the next first maximum after each.
 A delta stays valid until a parent set it reads changes: Pa(y) for arc
 additions and deletions, also Pa(x) for a DAG reversal, none otherwise.
 """
@@ -72,7 +74,6 @@ class SearchReport:
     requested: int
     nvars: float
     wall_time_seconds: float
-    edge_count: int
     trace: list = field(default_factory=list)
 
 
@@ -177,7 +178,7 @@ class Neighbourhood:
     and ``start[k]`` where the k-th kind of ``_KINDS`` begins in it."""
 
     def __init__(self, n, masks, links=()):
-        self.n, self.links = n, list(links)
+        self.links = list(links)
         self.masks = {kind: masks.get(kind, np.zeros(
             (n, len(self.links) if kind == "A_hh" else n), dtype=bool))
             for kind in _KINDS}
@@ -196,16 +197,6 @@ class Neighbourhood:
         if kind == "A_hh":
             return MoveOperator(kind, x, *self.links[c])
         return MoveOperator(kind, x, c)
-
-    def positions(self, signature):
-        """Positions of the moves with a tabu signature (see
-        :func:`_signature`): A_arc x->y also stands for each A_hh(x, y, z)."""
-        kind, x, y = signature
-        out = [self.start[_KIND_ORDER[kind]] + x * self.n + y]
-        if kind == "A_arc":
-            first = self.start[_KIND_ORDER["A_hh"]] + x * len(self.links)
-            out += [first + c for c, (v, _) in enumerate(self.links) if v == y]
-        return out
 
     def moves(self):
         return [self.move(i) for i in np.flatnonzero(self.flat).tolist()]
@@ -373,20 +364,22 @@ def _scored(g, nb, deltas, space, scorer):
 def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
     """The one search loop.  Each iteration applies the first maximal move
     the tabu list does not block, or the first maximal move when every move
-    is blocked: one argmax over the scored neighbourhood, and a second one
-    only when the list blocks the first.  Greedy keeps no tabu list and
-    stops before a move whose delta is at most IMPROVE_TOL; its best graph
-    is its current graph, since an applied move may gain less than the
-    score's ulp.  Tabu runs tsit iterations and keeps a copy of the best
-    graph seen."""
+    is blocked: an argmax over the scored neighbourhood, repeated on a copy
+    with each blocked first maximum set to -inf.  Greedy keeps no tabu
+    list and stops before a move whose delta is at most IMPROVE_TOL; its
+    best graph is its current graph, since an applied move may gain less
+    than the score's ulp.  Tabu runs tsit iterations and keeps a copy of
+    the best graph seen."""
     n = dataset.n
     if greedy:
         tll = 0
     else:
+        if (tll is not None and tll < 0
+                or tsit is not None and not 1 <= tsit <= sys.maxsize):
+            raise ValueError("tabu parameters out of range")
+        # At n = 1 the default tsit is 0: the empty graph, as greedy gives.
         tll = n if tll is None else tll
         tsit = n * (n - 1) if tsit is None else tsit
-        if tll < 0 or not 1 <= tsit <= sys.maxsize:
-            raise ValueError("tabu parameters out of range")
         # The list gains one entry per iteration, so a cap of tsit changes
         # no run and keeps deque's maxlen within a C ssize_t.
         tll = min(tll, tsit)
@@ -410,16 +403,17 @@ def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
         misses += computed
         if not nb.flat.any():
             break
-        i = int(np.argmax(values))
-        if tabu and _signature(nb.move(i)) in tabu and (
-                total + values[i] <= best_score + IMPROVE_TOL):
-            listed = np.array([p for s in tabu for p in nb.positions(s)])
+        i = first = int(np.argmax(values))
+        if tabu:
             allowed = values.copy()
-            allowed[listed[total + values[listed]
-                           <= best_score + IMPROVE_TOL]] = -np.inf
-            j = int(np.argmax(allowed))
-            if allowed[j] > -np.inf:
-                i = j
+            # Knock out listed moves that set no new best, best first.
+            while (total + allowed[i] <= best_score + IMPROVE_TOL
+                   and _signature(nb.move(i)) in tabu):
+                allowed[i] = -np.inf
+                i = int(np.argmax(allowed))
+                if allowed[i] == -np.inf:   # every move is blocked
+                    i = first
+                    break
         op, d = nb.move(i), float(values[i])
         if greedy and d <= IMPROVE_TOL:
             break
@@ -442,8 +436,7 @@ def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
         best_iteration=best_iteration, individuals_evaluated=misses,
         evaluated=scorer.cache.evaluated, requested=scorer.cache.requested,
         nvars=scorer.cache.nvars,
-        wall_time_seconds=time.perf_counter() - t0,
-        edge_count=best_graph.edge_count(), trace=trace)
+        wall_time_seconds=time.perf_counter() - t0, trace=trace)
     return best_graph, report
 
 
@@ -457,7 +450,8 @@ def tabu_search(dataset, scorer, tll=None, tsit=None, start=None):
     """Tabu search over restricted PDAGs: exactly tsit iterations, each
     applying the best non-forbidden move (even if it worsens the score),
     with a list of the last tll applied moves' inverses and aspiration by
-    best score seen.  Defaults: tll = n, tsit = n(n-1)."""
+    best score seen.  Defaults: tll = n, tsit = n(n-1), so no iteration
+    at n = 1."""
     return _search(dataset, scorer, _RPDAG_SPACE, start, False, tll, tsit)
 
 

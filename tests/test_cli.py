@@ -175,6 +175,29 @@ class TestLearn:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("space", ["rpdag", "dag"])
+    def test_tabu_defaults_on_one_variable(self, tmp_path, capsys, space):
+        # At n = 1 the default --tabu-iters, n(n - 1), is 0: tabu makes no
+        # move and writes what greedy writes.  A given 0 is still refused.
+        data = tmp_path / "one.csv"
+        data.write_text("a\n0\n1\n1\n", encoding="utf-8")
+        argv = ["learn", "--data", str(data), "--space", space]
+        for strategy in ("greedy", "tabu"):
+            assert main([*argv, "--strategy", strategy,
+                         "--out", str(tmp_path / f"{strategy}.json"),
+                         "--report", str(tmp_path / "report.json")]) == 0
+            record = json.loads((tmp_path / "report.json").read_text())
+            assert (record["Iter"], record["BIter"], record["Edg"]) == (
+                0, 0, 0)
+        assert ((tmp_path / "tabu.json").read_bytes()
+                == (tmp_path / "greedy.json").read_bytes())
+        capsys.readouterr()
+        for bad in (["--tabu-iters", "0"], ["--tabu-len", "-1"]):
+            assert main([*argv, "--strategy", "tabu", *bad,
+                         "--out", str(tmp_path / "bad.json")]) == 1
+            assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize("space", ["rpdag", "dag"])
     def test_report_scores_match_score_command(self, tmp_path, gold8_csv,
                                                capsys, space):
         out, report = tmp_path / "learned.json", tmp_path / "report.json"

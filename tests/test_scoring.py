@@ -44,6 +44,14 @@ class TestCountStatistics:
         ds = dataset_from([2, 2], [[0, 0]])
         with pytest.raises(GraphError):
             count_statistics(ds, 0, [0, 1])
+        # A parent named twice would be counted as two parents (q = r**2).
+        ds = dataset_from([2, 3], [[0, 0], [1, 1], [1, 2]])
+        with pytest.raises(GraphError):
+            count_statistics(ds, 0, [1, 1])
+        scorer = Scorer(ds)
+        with pytest.raises(GraphError):
+            scorer.local(0, [1, 1])
+        assert scorer.cache.store == {}
 
     @pytest.mark.parametrize("n", [42, 66])
     def test_family_too_wide_to_count(self, n):

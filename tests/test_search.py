@@ -453,7 +453,6 @@ class TestGreedy:
         assert g.is_rpdag()
         assert report.best_score == pytest.approx(
             Scorer(ds).score_rpdag(g), abs=1e-6)
-        assert report.edge_count == g.edge_count()
 
     def test_deterministic(self, rng):
         ds = random_dataset(5, 150, rng)
@@ -505,7 +504,6 @@ class TestGreedy:
         assert list(g.arcs()) == [(0, 1)]
         assert report.best_score == start_score + gain
         assert report.best_iteration == report.iterations_applied == 1
-        assert report.edge_count == 1
 
     def test_dag_greedy_runs(self, rng):
         ds = random_dataset(4, 100, rng)
@@ -573,7 +571,6 @@ class TestTabu:
         assert g == top
         assert getattr(Scorer(ds), rescore)(g) == pytest.approx(
             report.best_score, abs=1e-9)
-        assert report.edge_count == g.edge_count()
 
     def test_parameter_validation(self, rng):
         ds = random_dataset(3, 10, rng)
@@ -620,7 +617,8 @@ class TestTabuSelection:
         # Replays the tabu list and the best score from the trace and
         # checks every applied move against each iteration's scored
         # neighbourhood.  The seeds give runs in which the list overrules
-        # the first maximal move and aspiration admits a listed move.
+        # the first maximal move, knocks out two or more moves that score
+        # above the applied one, and aspiration admits a listed move.
         neighbourhoods = record_scored(monkeypatch)
         ds = sample(random_network(7, seed=seed, p=0.4), 1500, seed=seed)
         tll = 7
@@ -628,14 +626,16 @@ class TestTabuSelection:
         steps, best = replay_tabu(
             neighbourhoods, report,
             getattr(Scorer(ds), rescore)(PartialDag(7)), tll)
-        overruled = aspirated = 0
+        overruled = chained = aspirated = 0
         for moves, pool, applied, listed, improved in steps:
             top = max(d for _, d in pool)
             assert applied == next(m for m in pool if m[1] == top)
             overruled += applied != max(moves, key=lambda m: m[1])
+            chained += sum(m[1] > applied[1] and m not in pool
+                           for m in moves) >= 2
             aspirated += listed and improved
         assert report.best_score == best
-        assert overruled > 0 and aspirated > 0
+        assert overruled > 0 and chained > 0 and aspirated > 0
 
 
 def twin_columns():
