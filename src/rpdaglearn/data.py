@@ -274,7 +274,11 @@ def sample(net, m, seed):
     rng = np.random.default_rng(seed)
     order = net.structure.topological_order()
     n = net.structure.node_count
-    rows = np.zeros((m, n), dtype=np.int64, order="F")
+    try:
+        rows = np.zeros((m, n), dtype=np.int64, order="F")
+    except (MemoryError, ValueError):   # ValueError: a shape past intp
+        raise ValueError(f"sample size {m} is too large: its {m} x {n} "
+                         f"table cannot be allocated") from None
     for y in order:
         j = parent_configs(rows, net.parents(y), net.cardinalities)
         table = net.cpts[y]
@@ -291,8 +295,12 @@ def fit_parameters(structure, dataset, smoothing=1.0):
 
     With smoothing = s > 0 each cell gets the posterior-mean estimate
     (N_jk + s/(r*q)) / (N_j + s/q); s = 0 gives maximum likelihood with a
-    uniform row wherever a parent configuration never occurs.
+    uniform row wherever a parent configuration never occurs.  A negative
+    or non-finite s raises ValueError.
     """
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError(f"smoothing must be finite and non-negative, "
+                         f"not {smoothing}")
     if not structure.is_dag():
         raise DataError("fit_parameters requires a DAG")
     if structure.node_count != dataset.n:

@@ -85,12 +85,9 @@ class PartialDag:
         self._check_node(y)
         return self._ne[y]
 
-    def ad(self, y):
-        self._check_node(y)
-        return self._pa[y] | self._ch[y] | self._ne[y]
-
     def is_adjacent(self, x, y):
-        return y in self.ad(x)
+        self._check_node(x)
+        return y in self._pa[x] or y in self._ch[x] or y in self._ne[x]
 
     def arcs(self):
         for y in range(self.node_count):
@@ -171,13 +168,10 @@ class PartialDag:
         return len(self._kahn_order()) < self.node_count
 
     def has_undirected_cycle(self):
-        # The links-only subgraph is acyclic iff each connected component
-        # is a tree (edges = nodes - 1).
-        for comp in self.chain_components():
-            edges = sum(len(self._ne[u] & comp) for u in comp) // 2
-            if edges >= len(comp):
-                return True
-        return False
+        # The links form a forest iff each chain component is a tree, that
+        # is iff there are node_count - (number of components) of them.
+        links = sum(map(len, self._ne)) // 2
+        return links > self.node_count - len(self.chain_components())
 
     def dag_problem(self):
         """What keeps the graph from being a DAG; "" for a DAG."""

@@ -169,22 +169,19 @@ def delta_score(g, op, scorer):
 
 
 class Neighbourhood:
-    """The applicable moves of one graph as boolean masks, one per kind.
+    """The applicable moves of one graph as boolean masks, one per move
+    kind of its space, keyed in ``_KINDS`` order.
 
     ``masks[kind][x, y]`` marks the move (kind, x, y), except that column i
     of the A_hh mask stands for the link ``links[i]`` = (y, z), sorted.
-    Read row by row and laid end to end in kind order, the masks list the
+    Read row by row and laid end to end in that order, the masks list the
     moves in :meth:`MoveOperator.sort_key` order: ``flat`` is that layout,
-    and ``start[k]`` where the k-th kind of ``_KINDS`` begins in it."""
+    and ``start[k]`` where the k-th of its kinds begins in it."""
 
-    def __init__(self, n, masks, links=()):
-        self.links = list(links)
-        self.masks = {kind: masks.get(kind, np.zeros(
-            (n, len(self.links) if kind == "A_hh" else n), dtype=bool))
-            for kind in _KINDS}
-        self.flat = np.concatenate([m.ravel() for m in self.masks.values()])
-        self.start = np.cumsum(
-            [0] + [m.size for m in self.masks.values()]).tolist()
+    def __init__(self, masks, links=()):
+        self.masks, self.kinds, self.links = masks, list(masks), list(links)
+        self.flat = np.concatenate([m.ravel() for m in masks.values()])
+        self.start = np.cumsum([0] + [m.size for m in masks.values()]).tolist()
 
     def __len__(self):
         return int(np.count_nonzero(self.flat))
@@ -192,7 +189,7 @@ class Neighbourhood:
     def move(self, i):
         """The move at position i of ``flat``."""
         k = bisect.bisect_right(self.start, i) - 1   # skips empty masks
-        kind = _KINDS[k]
+        kind = self.kinds[k]
         x, c = divmod(i - self.start[k], self.masks[kind].shape[1])
         if kind == "A_hh":
             return MoveOperator(kind, x, *self.links[c])
@@ -213,15 +210,15 @@ def _rpdag_neighbourhood(g):
     arcs, links, reach = g.matrices()
     pa, ch, ne = arcs.any(0), arcs.any(1), links.any(1)
     free = ~(arcs | arcs.T | links | np.eye(n, dtype=bool))
-    hh_links = [(y, z) for y in np.flatnonzero(ne & ~pa).tolist()
-                for z in sorted(g._ne[y])]
+    # Linked nodes have no parent (condition 1): every link y-z, both ways.
+    hh_links = list(map(tuple, np.argwhere(links).tolist()))
     outgoing, anchored = ch | (links.sum(1) >= 2), pa | ne
     hh = free[:, [y for y, _ in hh_links]]
     for i, (y, z) in enumerate(hh_links):
         if outgoing[y] and (hh[:, i] & anchored).any():
             reached = list(g.semi_directed_reach(y, (y, z)))
             hh[reached, i] &= ~anchored[reached]
-    return Neighbourhood(n, {
+    return Neighbourhood({
         "A_link": np.triu(free & ~pa[:, None] & ~pa & ~reach, 1),
         "A_arc": free & (pa[:, None] | pa)
         & ~(pa[:, None] & (ch | ne) & reach.T),
@@ -289,7 +286,7 @@ def _dag_neighbourhood(g):
     # desc is reflexive, so the first test also rules out x == y, and
     # each arc x->y counts y itself among the children y descends from.
     into = arcs.astype(np.float32) @ desc.astype(np.float32)
-    return Neighbourhood(g.node_count, {
+    return Neighbourhood({
         "A_arc": ~arcs & ~desc.T, "D_arc": arcs, "R_arc": arcs & (into == 1)})
 
 
@@ -349,7 +346,7 @@ def _scored(g, nb, deltas, space, scorer):
     unset = np.full(n, np.nan)
     kept = np.concatenate([
         np.array([hh.get(link, unset) for link in nb.links]).T.ravel()
-        if kind == "A_hh" else deltas[kind].ravel() for kind in _KINDS])
+        if kind == "A_hh" else deltas[kind].ravel() for kind in nb.masks])
     missing = np.flatnonzero(nb.flat & np.isnan(kept)).tolist()
     for i in missing:
         op = nb.move(i)

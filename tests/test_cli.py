@@ -64,6 +64,17 @@ class TestSample:
                          "--seed", "9", "--out", str(path)]) == 0
         assert a.read_text() == b.read_text()
 
+    # 10**15 rows of gold8's 8 int64 cells is 6.4e16 bytes, past a 47-bit
+    # address space, so the allocation fails at once and touches no
+    # memory; 10**20 rows is a shape past intp.
+    @pytest.mark.parametrize("n", [10**15, 10**20])
+    def test_sample_size_too_large(self, tmp_path, capsys, n):
+        out = tmp_path / "x.csv"
+        assert main(["sample", "--net", GOLD8, "--n", str(n),
+                     "--out", str(out)]) == 1
+        assert f"sample size {n}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_network_file(self, tmp_path):
         rc = main(["sample", "--net", str(tmp_path / "no.json"),
                    "--n", "5", "--seed", "0",

@@ -362,6 +362,13 @@ class TestFitParameters:
                              smoothing=1.0)
         assert all(np.all(t > 0) for t in net.cpts)
 
+    @pytest.mark.parametrize("smoothing", [float("nan"), -1.0,
+                                           float("inf")])
+    def test_bad_smoothing_refused(self, smoothing):
+        ds = Dataset(["y"], [2], np.array([[0], [1]]))
+        with pytest.raises(ValueError, match="smoothing"):
+            fit_parameters(PartialDag(1), ds, smoothing=smoothing)
+
 
 class TestNetworkFile:
     def test_roundtrip_with_cpts(self, tmp_path):

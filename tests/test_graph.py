@@ -296,6 +296,34 @@ class TestChainComponents:
                     assert edges == len(comp) - 1
 
 
+def links_form_cycle(g):
+    """Reference: some chain component has as many links as nodes."""
+    return any(sum(len(g.ne(u) & comp) for u in comp) // 2 >= len(comp)
+               for comp in g.chain_components())
+
+
+class TestHasUndirectedCycle:
+    def test_matches_per_component_edge_count(self):
+        rng = np.random.default_rng(14)
+        seen = {True: 0, False: 0}
+        several = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 13))
+            p = float(rng.uniform(0.05, 0.4))
+            g = PartialDag(n)
+            for x, y in itertools.combinations(range(n), 2):
+                r = rng.random()
+                if r < p:
+                    g.add_link(x, y)
+                elif r < p + 0.1:   # arcs do not count
+                    g.add_arc(x, y)
+            expected = links_form_cycle(g)
+            assert g.has_undirected_cycle() == expected, g
+            seen[expected] += 1
+            several += sum(len(c) > 1 for c in g.chain_components()) > 1
+        assert min(seen.values()) > 50 and several > 50
+
+
 class TestCensusCounts:
     def test_three_nodes(self):
         result = census(3)

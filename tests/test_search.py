@@ -226,6 +226,28 @@ class TestDagNeighborhoodOracle:
         assert long_reversals > 0
 
 
+class TestNeighbourhoodKinds:
+    @pytest.mark.parametrize("build, make, kinds", [
+        (search._rpdag_neighbourhood, random_rpdag,
+         ("A_link", "A_arc", "A_hh", "D_arc", "D_link")),
+        (search._dag_neighbourhood, random_dag, DAG_KINDS)],
+        ids=["rpdag", "dag"])
+    def test_holds_only_its_space_kinds(self, build, make, kinds):
+        assert [k for k in search._KINDS if k in kinds] == list(kinds)
+        rng = np.random.default_rng(14)
+        applied = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 10))
+            nb = build(make(n, rng, p=float(rng.uniform(0.1, 0.8))))
+            assert list(nb.masks) == list(kinds)
+            assert nb.start[-1] == nb.flat.size
+            ops = nb.moves()
+            assert [nb.move(i) for i in np.flatnonzero(nb.flat)] == ops
+            assert len(nb) == len(ops)
+            applied |= {op.kind for op in ops}
+        assert applied == set(kinds)
+
+
 class TestClosure:
     def test_all_operators_preserve_restricted_form_n4(self):
         # Exhaustive: every representative restricted PDAG on 4 nodes,
@@ -492,7 +514,7 @@ class TestGreedy:
         one = np.eye(2, k=1, dtype=bool)       # the pair (0, 1) only
         stub = search._Space(
             neighborhood=lambda g: search.Neighbourhood(
-                2, {(delete if g.pa(1) else add).kind: one}),
+                {(delete if g.pa(1) else add).kind: one}),
             delta=lambda g, op, scorer: gain if op == add else -gain,
             apply_inplace=search._dag_apply_inplace,
             initial_score=lambda scorer, g: start_score,
