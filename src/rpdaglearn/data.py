@@ -1,6 +1,7 @@
 """Categorical datasets, Bayesian networks, CSV and network-file I/O.
 
-Datasets store rows as integer state indices; each variable's alphabet is
+Datasets store rows as unsigned state indices in the narrowest width that
+holds them (see :func:`index_dtype`); each variable's alphabet is
 fixed at load time (distinct column tokens sorted lexicographically, with
 the missing-value token, if present, appended as the last state).  Network
 files are JSON documents holding variables, arcs, links, and optional
@@ -25,6 +26,11 @@ DEFAULT_MISSING_TOKEN = "?"
 CSV_BLOCK_ROWS = 4096  # records decoded at a time by load_csv
 _INT32_IDS = 2 ** 31   # token ids below this fit int32
 _INTP_MAX = np.iinfo(np.intp).max  # the most cells a count table can index
+# (largest value, type) of each narrow width, for index_dtype.  A width
+# must cast safely to intp, as bincount and fancy indexing read intp.
+_WIDTHS = [(np.iinfo(t).max, np.dtype(t)) for t in (np.uint8, np.uint16,
+                                                      np.uint32)
+           if np.can_cast(t, np.intp)]
 _JSON_TYPES = {dict: "object", list: "array", str: "string"}
 
 
@@ -34,7 +40,13 @@ class DataError(Exception):
 
 @dataclass
 class Dataset:
-    """Discrete data table: m rows of state indices over n variables."""
+    """Discrete data table: m rows of state indices over n variables.
+
+    ``rows`` is stored column-major in ``index_dtype`` of the largest
+    cardinality (uint8 for up to 256 states).  Other input is checked to
+    be whole numbers in range before it is narrowed; input already in
+    that width and column-major is kept without a copy.
+    """
 
     variable_names: list
     cardinalities: list
@@ -49,26 +61,18 @@ class Dataset:
             raise DataError(f"rows must be an (m, {self.n}) table, got "
                             f"shape {rows.shape}")
         # Column-major, as counting reads whole columns.
-        if rows.dtype == np.int64:
-            self.rows = np.asfortranarray(rows)
-        else:
-            self.rows = np.empty(rows.shape, dtype=np.int64, order="F")
-            for i, name in enumerate(self.variable_names):
-                try:
-                    with np.errstate(invalid="ignore"):   # NaN, inf: see below
-                        self.rows[:, i] = rows[:, i]
-                    whole = np.array_equal(self.rows[:, i], rows[:, i])
-                except (TypeError, ValueError):   # a cell int() cannot read
-                    whole = False
-                if not whole:
-                    raise DataError(f"variable {name} has a cell that is not "
-                                    f"a whole number")
-        if self.m > 0:
-            for i, r in enumerate(self.cardinalities):
-                col = self.rows[:, i]
-                if col.min() < 0 or col.max() >= r:
-                    raise DataError(f"cell index out of range for variable "
-                                    f"{self.variable_names[i]}")
+        dtype = index_dtype(max(self.cardinalities, default=0))
+        narrow = rows.dtype == dtype
+        self.rows = (np.asfortranarray(rows) if narrow
+                     else np.empty(rows.shape, dtype, order="F"))
+        for i, (name, r) in enumerate(zip(self.variable_names,
+                                          self.cardinalities)):
+            col = rows[:, i] if narrow else _whole_numbers(rows[:, i], name)
+            if col.size and (col.min() < 0 or col.max() >= r):
+                raise DataError(f"cell index out of range for variable "
+                                f"{name}")
+            if not narrow:
+                self.rows[:, i] = col
 
     @property
     def n(self):
@@ -77,6 +81,28 @@ class Dataset:
     @property
     def m(self):
         return self.rows.shape[0]
+
+
+def index_dtype(count):
+    """Narrowest of uint8, uint16 and uint32 that holds 0 ... count - 1 and
+    casts safely to intp; intp when none does."""
+    return next((t for top, t in _WIDTHS if count - 1 <= top),
+                np.dtype(np.intp))
+
+
+def _whole_numbers(col, name):
+    """``col`` as int64, or DataError if a cell is not a whole number."""
+    whole = np.empty(col.shape, np.int64)
+    try:
+        with np.errstate(invalid="ignore"):   # NaN, inf: see below
+            whole[:] = col
+        ok = np.array_equal(whole, col)
+    except (TypeError, ValueError):   # a cell int() cannot read
+        ok = False
+    if not ok:
+        raise DataError(f"variable {name} has a cell that is not a whole "
+                        f"number")
+    return whole
 
 
 def _checked_labels(names, cardinalities, state_labels):
@@ -108,31 +134,37 @@ def load_csv(path, missing_token=DEFAULT_MISSING_TOKEN):
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
-                header, ids, tokens = _token_ids(reader, path)
+                header, blocks, tokens = _token_ids(reader, path)
             except csv.Error as exc:
                 raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 ({exc})") from None
 
-    m, n = ids.shape
-    rows = np.empty((m, n), dtype=np.int64, order="F")
-    labels = []
+    def ids(i):
+        """Token ids of column i; only one column is copied at a time."""
+        return np.concatenate([b[:, i] for b in blocks]
+                              or [np.empty(0, np.int32)])
+
+    n = len(header)
+    # Each column's alphabet, as token ids in state order.
+    orders = [sorted(np.flatnonzero(np.bincount(ids(i))).tolist(),
+                     key=lambda k: (tokens[k] == missing_token, tokens[k]))
+              for i in range(n)]
+    dtype = index_dtype(max(map(len, orders), default=0))
+    rows = np.empty((sum(map(len, blocks)), n), dtype, order="F")
     # Token id -> state index in the column at hand; only the ids present
     # in that column are written and read.
-    lookup = np.empty(len(tokens), dtype=np.int64)
-    for i in range(n):
-        col = ids[:, i]
-        order = sorted(np.flatnonzero(np.bincount(col)).tolist(),
-                       key=lambda k: (tokens[k] == missing_token, tokens[k]))
+    lookup = np.empty(len(tokens), dtype)
+    for i, order in enumerate(orders):
         lookup[order] = np.arange(len(order))
-        rows[:, i] = lookup[col]
-        labels.append([tokens[k] for k in order])
+        rows[:, i] = lookup[ids(i)]
+    labels = [[tokens[k] for k in order] for order in orders]
     return Dataset(list(header), [len(a) for a in labels], rows, labels)
 
 
 def _token_ids(reader, path):
-    """Header, the file-wide token id of every cell as an (m, n) array in
-    record order, and the tokens in id order.
+    """Header, the file-wide token id of every cell as a list of (k, n)
+    blocks in record order, and the tokens in id order.
 
     Records are decoded CSV_BLOCK_ROWS at a time, so the file is never
     held as Python rows; each block's cells map to ids in one C-level pass.
@@ -156,9 +188,9 @@ def _token_ids(reader, path):
         dtype = np.int32 if len(token_id) + size <= _INT32_IDS else np.int64
         blocks.append(np.fromiter(
             map(token_id.__getitem__, itertools.chain.from_iterable(block)),
-            dtype, size))
-    ids = np.concatenate(blocks) if blocks else np.empty(0, np.int32)
-    return header, ids.reshape(-1, n), list(token_id)
+            dtype, size).reshape(-1, n))
+        del block   # else it is held while the next block is read
+    return header, blocks, list(token_id)
 
 
 def _ragged_record(path, n):
@@ -229,16 +261,31 @@ class BayesNet:
         return sorted(self.structure.pa(y))
 
 
-def parent_configs(rows, parents, cardinalities):
+def parent_configs(rows, parents, cardinalities, q=None):
     """Mixed-radix parent-configuration index of every row, the first of
     ``parents`` most significant.  Callers pass the parents in ascending
-    node order."""
-    if not parents:
-        return np.zeros(rows.shape[0], dtype=np.int64)
-    j = rows[:, parents[0]].astype(np.int64)
+    node order, and may pass their number of configurations q.
+
+    The key is stored in ``index_dtype(q)``, so for q up to 256 it is one
+    byte a row; a q whose largest index would not fit intp raises
+    DataError rather than wrap.
+    """
+    if q is None:
+        q = math.prod(cardinalities[p] for p in parents)
+    if q - 1 > _INTP_MAX:
+        raise DataError(f"cannot index {q} configurations: the key would "
+                        f"not fit intp")
+    dtype = index_dtype(q)
+    # A one-state parent adds nothing to the key; skipping it keeps every
+    # radix multiplied in below q, so it fits the key's width.  q = 0
+    # leaves no valid row.
+    parents = [p for p in parents if cardinalities[p] > 1]
+    if q == 0 or not parents:
+        return np.zeros(rows.shape[0], dtype)
+    j = rows[:, parents[0]].astype(dtype)
     for p in parents[1:]:
-        j *= cardinalities[p]
-        j += rows[:, p]
+        j *= int(cardinalities[p])   # a numpy int would widen the product
+        j += rows[:, p].astype(dtype, copy=False)
     return j
 
 
@@ -251,14 +298,16 @@ def family_counts(dataset, y, parents):
     """
     r = dataset.cardinalities[y]
     q = math.prod(dataset.cardinalities[p] for p in parents)
-    if q * r <= _INTP_MAX:
-        j = parent_configs(dataset.rows, [*parents, y], dataset.cardinalities)
+    cells = q * r
+    if cells <= _INTP_MAX:
+        j = parent_configs(dataset.rows, [*parents, y], dataset.cardinalities,
+                           cells)
         try:
-            return np.bincount(j, minlength=q * r).reshape(q, r)
+            return np.bincount(j, minlength=cells).reshape(q, r)
         except MemoryError:
             pass
     raise DataError(f"family of {dataset.variable_names[y]} is too wide to "
-                    f"count: q * r = {q * r} cells")
+                    f"count: q * r = {cells} cells")
 
 
 def sample(net, m, seed):
@@ -275,7 +324,8 @@ def sample(net, m, seed):
     order = net.structure.topological_order()
     n = net.structure.node_count
     try:
-        rows = np.zeros((m, n), dtype=np.int64, order="F")
+        rows = np.zeros((m, n), index_dtype(max(net.cardinalities, default=0)),
+                        order="F")
     except (MemoryError, ValueError):   # ValueError: a shape past intp
         raise ValueError(f"sample size {m} is too large: its {m} x {n} "
                          f"table cannot be allocated") from None

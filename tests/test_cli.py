@@ -64,7 +64,7 @@ class TestSample:
                          "--seed", "9", "--out", str(path)]) == 0
         assert a.read_text() == b.read_text()
 
-    # 10**15 rows of gold8's 8 int64 cells is 6.4e16 bytes, past a 47-bit
+    # 10**15 rows of gold8's 8 one-byte cells is 8e15 bytes, past a 47-bit
     # address space, so the allocation fails at once and touches no
     # memory; 10**20 rows is a shape past intp.
     @pytest.mark.parametrize("n", [10**15, 10**20])

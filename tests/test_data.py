@@ -1,4 +1,5 @@
 import csv
+import functools
 import itertools
 import math
 import sys
@@ -21,9 +22,17 @@ def write(path, text):
     return str(path)
 
 
+def narrowest(count):
+    """The unsigned width a Dataset stores state indices 0 ... count - 1
+    in: uint8 up to 256 states, then uint16, then uint32."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32)
+                if count - 1 <= np.iinfo(t).max)
+
+
 def load_csv_oracle(path, missing_token="?"):
     """The per-cell decoder that load_csv replaced, kept as the reference:
-    header, alphabets and rows."""
+    header, alphabets and rows, in the narrowest width for the largest
+    alphabet."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -38,8 +47,9 @@ def load_csv_oracle(path, missing_token="?"):
             alphabet.append(missing_token)
         labels.append(alphabet)
     index = [{tok: k for k, tok in enumerate(alpha)} for alpha in labels]
+    width = narrowest(max(map(len, labels)))
     rows = np.array([[index[i][row[i]] for i in range(n)] for row in raw],
-                    dtype=np.int64).reshape(-1, n)
+                    dtype=width).reshape(-1, n)
     return header, labels, rows
 
 
@@ -196,11 +206,11 @@ class TestLoadCsv:
         assert dtypes == [np.int32, np.int64, np.int64]
 
     def test_peak_memory(self, tmp_path):
-        # Derived bound: the token ids (4 bytes a cell, half of the int64
-        # rows), the rows themselves, two int64 columns of temporaries
-        # while one column is remapped, and one block of records (the
-        # sampled labels are one-character strings, which CPython shares
-        # rather than allocates).
+        # Derived bound, per cell: 4 bytes of int32 token ids and the
+        # rows' own itemsize (1 byte for these 2-3 state variables); per
+        # row, two int64 column temporaries while one column is mapped;
+        # and one block of records (the sampled labels are one-character
+        # strings, which CPython shares rather than allocates).
         path, n = tmp_path / "d.csv", 10
         save_csv(sample(random_network(n, 5), 20000, seed=5), path)
         tracemalloc.start()
@@ -209,10 +219,11 @@ class TestLoadCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        size = ds.rows.nbytes
-        bound = (size // 2 + size + 2 * 8 * ds.m
+        assert ds.rows.itemsize == 1
+        cells = ds.m * n
+        bound = (cells * (4 + ds.rows.itemsize) + 2 * 8 * ds.m
                  + CSV_BLOCK_ROWS * sys.getsizeof([None] * n))
-        assert peak <= bound, (peak / size, bound / size)
+        assert peak <= bound, (peak / cells, bound / cells)
 
 
 class TestSaveCsv:
@@ -237,11 +248,12 @@ class TestSaveCsv:
 
 
 class TestColumnMajor:
-    """Dataset rows are stored once, column-major, as int64."""
+    """Dataset rows are stored once, column-major, in the narrowest width
+    for the largest cardinality: uint8 for these 2-3 state variables."""
 
     @staticmethod
     def assert_column_major(ds, shape):
-        assert ds.rows.dtype == np.int64
+        assert ds.rows.dtype == np.uint8
         assert ds.rows.shape == shape
         assert ds.rows.flags.f_contiguous
 
@@ -264,6 +276,30 @@ class TestColumnMajor:
         ds = load_csv(write(tmp_path / "d.csv", "u,v,w\na,0,x\nb,?,y\n"))
         self.assert_column_major(ds, (2, 3))
 
+    def test_narrow_input_kept_without_copy(self):
+        rows = np.asfortranarray([[0, 2, 1], [1, 0, 0]], dtype=np.uint8)
+        assert Dataset(["a", "b", "c"], [2, 3, 2], rows).rows is rows
+
+    @pytest.mark.parametrize("cards, width", [
+        ([1], np.uint8), ([256, 2], np.uint8), ([257, 2], np.uint16)])
+    def test_width_for_largest_cardinality(self, cards, width):
+        # Rows hold each variable's first and last state; int64 input is
+        # narrowed only after its range check, so 256 in a 256-state
+        # column is refused, not wrapped to 0.
+        top = [r - 1 for r in cards]
+        ds = Dataset([f"v{i}" for i in range(len(cards))], cards,
+                     np.array([[0] * len(cards), top]))
+        assert ds.rows.dtype == width and ds.rows.flags.f_contiguous
+        assert ds.rows.tolist() == [[0] * len(cards), top]
+        with pytest.raises(DataError, match="cell index out of range for "
+                                            "variable v0"):
+            Dataset(ds.variable_names, cards, np.array([[cards[0], *top[1:]]]))
+
+    def test_width_for_header_only_csv(self, tmp_path):
+        ds = load_csv(write(tmp_path / "d.csv", "a,b\n"))
+        assert ds.cardinalities == [0, 0]
+        self.assert_column_major(ds, (0, 2))
+
 
 class TestCounting:
     def test_first_parent_most_significant(self):
@@ -271,12 +307,56 @@ class TestCounting:
         j = parent_configs(rows, [0, 1], [2, 3, 2])
         assert j.tolist() == [2, 3, 5]
 
+    @pytest.mark.parametrize("cards, width", [
+        ([16, 16], np.uint8), ([1, 256], np.uint8), ([1, 257, 1], np.uint16),
+        ([256, 256], np.uint16), ([65537], np.uint32),
+        ([65536, 65536], np.uint32), ([641, 6700417], np.intp)])
+    def test_key_width_boundaries(self, cards, width):
+        # q = 256, 257, 65536, 65537, 2**32 and 2**32 + 1 (= 641 * 6700417):
+        # the key is the narrowest width holding q - 1, and equal to a
+        # Python-int reference on the first, last and some random
+        # configurations.  [1, 256] needs no radix of 256 in its one-byte
+        # key.
+        rng = np.random.default_rng(math.prod(cards))
+        rows = np.array([[0] * len(cards), [r - 1 for r in cards],
+                         *([int(rng.integers(r)) for r in cards]
+                           for _ in range(6))])
+        parents = list(range(len(cards)))
+        ref = [functools.reduce(lambda j, p: j * cards[p] + int(row[p]),
+                                parents, 0) for row in rows]
+        j = parent_configs(rows, parents, cards)
+        assert j.dtype == width
+        assert j.tolist() == ref
+        assert ref[1] == math.prod(cards) - 1
+
+    def test_numpy_int_cardinalities(self):
+        # Cardinalities read off the data are numpy ints; the key keeps
+        # its narrow width.
+        rows = np.array([[0, 1, 2], [1, 0, 1]])
+        ds = Dataset(["a", "b", "c"], list(rows.max(axis=0) + 1), rows)
+        assert parent_configs(ds.rows, [1, 2], ds.cardinalities).dtype \
+            == np.uint8
+        assert family_counts(ds, 0, [1, 2]).tolist() == [
+            [0, 0], [0, 1], [0, 0], [0, 0], [0, 0], [1, 0]]
+
+    def test_key_past_intp_refused(self):
+        # 45 ternary columns: the last configuration is 3**45 - 1, which
+        # int64 arithmetic would wrap to 2,833,654,757,305,440,082.
+        rows = np.full((2, 45), 2)
+        with pytest.raises(DataError, match=rf"cannot index {3 ** 45} "
+                                            rf"configurations"):
+            parent_configs(rows, list(range(45)), [3] * 45)
+
     def test_family_counts(self):
         ds = Dataset(["a", "b"], [2, 3], [[0, 2], [1, 0], [1, 2], [1, 2]])
         assert family_counts(ds, 1, [0]).tolist() == [[0, 0, 1], [1, 0, 2]]
         assert family_counts(ds, 0, []).tolist() == [[1, 3]]
         empty = Dataset(["a", "b"], [2, 3], np.zeros((0, 2)))
         assert family_counts(empty, 1, [0]).tolist() == [[0] * 3] * 2
+        # No state for a: q * r = 0, so the 300 is never multiplied into
+        # a one-byte key.
+        stateless = Dataset(["a", "b", "c"], [0, 2, 300], np.zeros((0, 3)))
+        assert family_counts(stateless, 0, [1, 2]).shape == (600, 0)
 
     @pytest.mark.parametrize("m", [0, 1, 37, 500])
     def test_equal_to_reference_in_either_layout(self, m):

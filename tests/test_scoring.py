@@ -84,6 +84,30 @@ class TestBdeuLocal:
             expected = bdeu_sequential_oracle(ds, y, parents, ess)
             assert bdeu_local(table, ess) == pytest.approx(expected, abs=1e-9)
 
+    def test_300_state_variable_matches_sequential_oracle(self):
+        # 300 states need uint16 rows and keys past one byte.
+        rng = np.random.default_rng(300)
+        cards = [300, 3, 2]
+        rows = np.column_stack([rng.integers(r, size=40) for r in cards])
+        rows[0] = [299, 2, 1]
+        ds = dataset_from(cards, rows)
+        assert ds.rows.dtype == np.uint16
+        for y in range(3):
+            others = [v for v in range(3) if v != y]
+            for k in range(3):
+                for parents in itertools.combinations(others, k):
+                    table = count_statistics(ds, y, parents)
+                    ref = np.zeros((table.q, cards[y]), np.int64)
+                    for row in rows.tolist():
+                        j = 0
+                        for p in parents:
+                            j = j * cards[p] + row[p]
+                        ref[j, row[y]] += 1
+                    assert np.array_equal(table.counts, ref)
+                    assert bdeu_local(table, 1.0) == pytest.approx(
+                        bdeu_sequential_oracle(ds, y, parents, 1.0),
+                        abs=1e-9)
+
     def test_param_penalty_prior_shift(self):
         ds = dataset_from([2, 3], [[0, 1], [1, 2]])
         table = count_statistics(ds, 0, [1])
