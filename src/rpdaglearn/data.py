@@ -15,6 +15,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,7 @@ class Dataset:
     state_labels: list = field(default=None)
 
     def __post_init__(self):
-        self.state_labels = _checked_labels(
+        self.cardinalities, self.state_labels = _checked_labels(
             self.variable_names, self.cardinalities, self.state_labels)
         rows = np.asarray(self.rows)
         if rows.ndim != 2 or rows.shape[1] != self.n:
@@ -106,9 +107,13 @@ def _whole_numbers(col, name):
 
 
 def _checked_labels(names, cardinalities, state_labels):
-    """State labels of a variable list with unique names, each with one
-    cardinality r and r distinct string labels ("0" ... "r-1" if none
-    given)."""
+    """Cardinalities, as Python ints, and state labels of a variable list
+    with unique names, each with one integer cardinality r and r distinct
+    string labels ("0" ... "r-1" if none given)."""
+    try:   # numpy ints would wrap the products of radices
+        cardinalities = [operator.index(r) for r in cardinalities]
+    except TypeError:
+        raise DataError("a cardinality is not an integer") from None
     if state_labels is None:
         state_labels = [[str(k) for k in range(r)] for r in cardinalities]
     if len(set(names)) != len(names):
@@ -121,7 +126,7 @@ def _checked_labels(names, cardinalities, state_labels):
                             f"not a string")
         if len(labels) != r or len(set(labels)) != r:
             raise DataError(f"variable {name} needs {r} distinct labels")
-    return state_labels
+    return cardinalities, state_labels
 
 
 def load_csv(path, missing_token=DEFAULT_MISSING_TOKEN):
@@ -234,7 +239,7 @@ class BayesNet:
     state_labels: list = field(default=None)
 
     def __post_init__(self):
-        self.state_labels = _checked_labels(
+        self.cardinalities, self.state_labels = _checked_labels(
             self.variable_names, self.cardinalities, self.state_labels)
         n = len(self.variable_names)
         if self.structure.node_count != n:

@@ -81,40 +81,13 @@ class SearchReport:
 
 
 def is_applicable(g, op):
-    """Check the applicability conditions of an operator on a restricted
-    PDAG, including the pre-insertion cycle tests."""
-    x, y, z = op.x, op.y, op.z
-    if op.kind == "A_arc":
-        if g.is_adjacent(x, y):
-            return False
-        px, py = len(g.pa(x)), len(g.pa(y))
-        if px == 0 and py == 0:
-            return False
-        if px != 0 and (g.ch(y) or g.ne(y)):
-            return not g.partially_directed_reachable(y, x)
-        return True
-    if op.kind == "A_link":
-        if g.is_adjacent(x, y):
-            return False
-        if g.pa(x) or g.pa(y):
-            return False
-        if g.ne(x) and g.ne(y):
-            return not g.undirected_reachable(x, y)
-        return True
-    if op.kind == "D_arc":
-        return x in g.pa(y)
-    if op.kind == "D_link":
-        return x in g.ne(y)
-    if op.kind == "A_hh":
-        if g.is_adjacent(x, y) or z not in g.ne(y):
-            return False
-        if g.pa(y):
-            return False
-        outgoing = g.ch(y) or len(g.ne(y)) >= 2
-        if outgoing and (g.pa(x) or g.ne(x)):
-            return not g.partially_directed_reachable(y, x, skip_link=(y, z))
-        return True
-    raise GraphError(f"unknown operator kind {op.kind!r}")
+    """True iff op is a move of g's restricted-PDAG neighbourhood, a link
+    move named (y, x) counting as (x, y).  GraphError for a node outside g."""
+    for v in {op.x, op.y, op.z} - {None}:
+        g._check_node(v)
+    if op.kind in ("A_link", "D_link") and op.x > op.y:
+        op = MoveOperator(op.kind, op.y, op.x)
+    return op in enumerate_neighborhood(g)
 
 
 def _apply_inplace(g, op):
@@ -226,10 +199,10 @@ def _rpdag_neighbourhood(g):
 
 
 def enumerate_neighborhood(g):
-    """All applicable operators on g in tie-break order, link moves once
-    with x < y: every candidate that :func:`is_applicable` accepts, sorted
-    by :meth:`MoveOperator.sort_key`, read from
-    :func:`_rpdag_neighbourhood`."""
+    """The restricted-PDAG neighbourhood of g, read from
+    :func:`_rpdag_neighbourhood`: every move of the five operators whose
+    applicability conditions and cycle pre-tests hold on g, link moves
+    once with x < y, sorted by :meth:`MoveOperator.sort_key`."""
     return _rpdag_neighbourhood(g).moves()
 
 
@@ -248,16 +221,11 @@ def _directed_reachable(g, src, dst, skip_arc=None):
 
 
 def dag_is_applicable(g, op):
-    x, y = op.x, op.y
-    if op.kind == "A_arc":
-        return not g.is_adjacent(x, y) and not _directed_reachable(g, y, x)
-    if op.kind == "D_arc":
-        return x in g.pa(y)
-    if op.kind == "R_arc":
-        if x not in g.pa(y):
-            return False
-        return not _directed_reachable(g, x, y, skip_arc=(x, y))
-    raise GraphError(f"unknown DAG operator kind {op.kind!r}")
+    """True iff op is a move of g's DAG neighbourhood.  GraphError for a
+    node outside g."""
+    for v in {op.x, op.y, op.z} - {None}:
+        g._check_node(v)
+    return op in dag_enumerate_neighborhood(g)
 
 
 def _dag_apply_inplace(g, op):
@@ -291,9 +259,9 @@ def _dag_neighbourhood(g):
 
 
 def dag_enumerate_neighborhood(g):
-    """All applicable moves on the DAG g in tie-break order: every
-    candidate that :func:`dag_is_applicable` accepts, sorted by
-    :meth:`MoveOperator.sort_key`, read from :func:`_dag_neighbourhood`."""
+    """The DAG neighbourhood of g, read from :func:`_dag_neighbourhood`:
+    every arc addition and reversal that keeps g acyclic and every arc
+    deletion, sorted by :meth:`MoveOperator.sort_key`."""
     return _dag_neighbourhood(g).moves()
 
 

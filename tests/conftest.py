@@ -7,6 +7,7 @@ import pytest
 
 from rpdaglearn.data import BayesNet, Dataset
 from rpdaglearn.graph import GraphError, PartialDag
+from rpdaglearn.search import _directed_reachable
 
 
 def random_dag(n, rng, p=0.4):
@@ -76,6 +77,58 @@ def is_extension(g, h):
         elif h.pa(y) and len(h.pa(y)) != 1:
             return False
     return True
+
+
+def oracle_is_applicable(g, op):
+    """Check the applicability conditions of an operator on a restricted
+    PDAG, including the pre-insertion cycle tests."""
+    x, y, z = op.x, op.y, op.z
+    if op.kind == "A_arc":
+        if g.is_adjacent(x, y):
+            return False
+        px, py = len(g.pa(x)), len(g.pa(y))
+        if px == 0 and py == 0:
+            return False
+        if px != 0 and (g.ch(y) or g.ne(y)):
+            return not g.partially_directed_reachable(y, x)
+        return True
+    if op.kind == "A_link":
+        if g.is_adjacent(x, y):
+            return False
+        if g.pa(x) or g.pa(y):
+            return False
+        if g.ne(x) and g.ne(y):
+            return not g.undirected_reachable(x, y)
+        return True
+    if op.kind == "D_arc":
+        return x in g.pa(y)
+    if op.kind == "D_link":
+        return x in g.ne(y)
+    if op.kind == "A_hh":
+        if g.is_adjacent(x, y) or z not in g.ne(y):
+            return False
+        if g.pa(y):
+            return False
+        outgoing = g.ch(y) or len(g.ne(y)) >= 2
+        if outgoing and (g.pa(x) or g.ne(x)):
+            return not g.partially_directed_reachable(y, x, skip_link=(y, z))
+        return True
+    raise GraphError(f"unknown operator kind {op.kind!r}")
+
+
+def oracle_dag_is_applicable(g, op):
+    """Check that an arc addition or reversal on a DAG closes no directed
+    cycle, or that an arc to delete is there."""
+    x, y = op.x, op.y
+    if op.kind == "A_arc":
+        return not g.is_adjacent(x, y) and not _directed_reachable(g, y, x)
+    if op.kind == "D_arc":
+        return x in g.pa(y)
+    if op.kind == "R_arc":
+        if x not in g.pa(y):
+            return False
+        return not _directed_reachable(g, x, y, skip_arc=(x, y))
+    raise GraphError(f"unknown DAG operator kind {op.kind!r}")
 
 
 def bdeu_sequential_oracle(dataset, y, parents, ess):

@@ -10,14 +10,14 @@ from importlib.resources import files
 import numpy as np
 
 from conftest import (bdeu_sequential_oracle, extension_by_definition,
-                      is_extension, random_dataset, random_rpdag)
+                      is_extension, oracle_dag_is_applicable, random_dataset,
+                      random_rpdag)
 from rpdaglearn.census import census, enumerate_dags, group_by_rpdag_key
 from rpdaglearn.data import load_network, sample
 from rpdaglearn.evaluation import hamming
 from rpdaglearn.scoring import Scorer, bdeu_local, count_statistics
 from rpdaglearn.search import (MoveOperator, apply_operator,
-                               dag_apply_operator, dag_is_applicable,
-                               delta_score,
+                               dag_apply_operator, delta_score,
                                dag_greedy_search, enumerate_neighborhood,
                                greedy_search, tabu_search)
 
@@ -107,7 +107,7 @@ class TestCriterion3DeltaScores:
                 continue
             x, y = arcs[int(rng.integers(len(arcs)))]
             op = MoveOperator("R_arc", x, y)
-            if not dag_is_applicable(h, op):
+            if not oracle_dag_is_applicable(h, op):
                 continue
             ds = random_dataset(n, int(rng.integers(5, 201)), rng)
             scorer = Scorer(ds)

@@ -338,6 +338,16 @@ class TestCounting:
             == np.uint8
         assert family_counts(ds, 0, [1, 2]).tolist() == [
             [0, 0], [0, 1], [0, 0], [0, 0], [0, 0], [1, 0]]
+        assert all(type(r) is int for r in ds.cardinalities)
+
+    def test_numpy_int_cardinalities_too_wide(self):
+        # 2**66 cells: a product of 66 numpy-int radices would wrap to 0.
+        rows = np.array([[0] * 66, [1] * 66])
+        ds = Dataset([f"v{i}" for i in range(66)],
+                     list(rows.max(axis=0) + 1), rows)
+        with pytest.raises(DataError, match="family of v0 is too wide to "
+                                            "count"):
+            family_counts(ds, 0, range(1, 66))
 
     def test_key_past_intp_refused(self):
         # 45 ternary columns: the last configuration is 3**45 - 1, which
@@ -539,6 +549,10 @@ class TestVariableChecks:
          "cell index out of range for variable b"),
         (lambda: Dataset(["a"], [2], [[-1]]),
          "cell index out of range for variable a"),
+        (lambda: Dataset(["a"], [2.5], [[0]]),
+         "a cardinality is not an integer"),
+        (lambda: BayesNet(["a"], [2.5], PartialDag(1)),
+         "a cardinality is not an integer"),
         (lambda: BayesNet(["a", "b"], [2, 2], PartialDag(3)),
          "structure/variable count mismatch"),
         (lambda: BayesNet(["a", "b"], [2, 2],

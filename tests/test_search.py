@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import (is_extension, random_dag, random_dataset,
+from conftest import (is_extension, oracle_dag_is_applicable,
+                      oracle_is_applicable, random_dag, random_dataset,
                       random_network, random_rpdag)
 from rpdaglearn import search
 from rpdaglearn.census import enumerate_dags, group_by_rpdag_key, rpdag_key
@@ -85,6 +88,36 @@ class TestApplicability:
         assert not is_applicable(g2, MoveOperator("A_hh", 0, 1, 2))
         assert is_applicable(g, MoveOperator("A_hh", 0, 1, 2))
 
+    @pytest.mark.parametrize("applicable", [is_applicable, dag_is_applicable],
+                             ids=["rpdag", "dag"])
+    @pytest.mark.parametrize("kind", search._KINDS)
+    def test_node_outside_graph_refused(self, applicable, kind):
+        # Whichever node is outside g, in either space and for every kind,
+        # even one the space does not have.
+        nodes = ([(5, 0, 1), (0, 5, 1), (0, 1, 5), (-1, 0, 1)]
+                 if kind == "A_hh" else [(5, 0), (0, 5), (-1, 0)])
+        for args in nodes:
+            with pytest.raises(GraphError, match="out of range"):
+                applicable(PartialDag(3), MoveOperator(kind, *args))
+
+    def test_kind_of_other_space_not_applicable(self):
+        g = g_from(3, arcs=[(0, 1), (2, 1)])
+        assert dag_is_applicable(g, MoveOperator("R_arc", 0, 1))
+        assert not is_applicable(g, MoveOperator("R_arc", 0, 1))
+        assert is_applicable(PartialDag(3), MoveOperator("A_link", 0, 1))
+        for op in (MoveOperator("A_link", 0, 1), MoveOperator("D_link", 0, 1),
+                   MoveOperator("A_hh", 0, 1, 2)):
+            assert not dag_is_applicable(PartialDag(3), op)
+
+    def test_link_move_named_either_way(self):
+        for g in (PartialDag(2), g_from(2, links=[(0, 1)])):
+            for kind in ("A_link", "D_link"):
+                answer = is_applicable(g, MoveOperator(kind, 0, 1))
+                assert is_applicable(g, MoveOperator(kind, 1, 0)) == answer
+        assert is_applicable(PartialDag(2), MoveOperator("A_link", 1, 0))
+        assert is_applicable(g_from(2, links=[(0, 1)]),
+                             MoveOperator("D_link", 1, 0))
+
 
 class TestNeighborhoodCounts:
     def test_empty_graph_all_links(self):
@@ -128,7 +161,7 @@ class TestNeighborhoodCounts:
 
 
 def oracle_neighborhood(g):
-    """Every candidate operator filtered through is_applicable, in
+    """Every candidate operator filtered through oracle_is_applicable, in
     tie-break order: the neighbourhood by definition."""
     n = g.node_count
     candidates = []
@@ -141,7 +174,7 @@ def oracle_neighborhood(g):
             candidates += [MoveOperator(kind, x, y) for kind in kinds]
             candidates += [MoveOperator("A_hh", x, y, z)
                            for z in range(n) if z not in (x, y)]
-    return sorted((op for op in candidates if is_applicable(g, op)),
+    return sorted((op for op in candidates if oracle_is_applicable(g, op)),
                   key=MoveOperator.sort_key)
 
 
@@ -178,11 +211,12 @@ class TestNeighborhoodOracle:
 
 def dag_oracle_neighborhood(g):
     """Every add/delete/reverse candidate filtered through
-    dag_is_applicable, in tie-break order."""
+    oracle_dag_is_applicable, in tie-break order."""
     n = g.node_count
     candidates = [MoveOperator(kind, x, y) for kind in DAG_KINDS
                   for x in range(n) for y in range(n) if x != y]
-    return sorted((op for op in candidates if dag_is_applicable(g, op)),
+    return sorted((op for op in candidates
+                   if oracle_dag_is_applicable(g, op)),
                   key=MoveOperator.sort_key)
 
 
@@ -321,6 +355,32 @@ class TestClosure:
         assert h == g_from(4, links=[(1, 2), (1, 3)])
 
 
+def single_arc_edits(g, extensions):
+    """The keys of the acyclic single-arc additions, deletions and
+    reversals on the extensions of g that change g's key, each listed once
+    per extension and arc."""
+    key = rpdag_key(g)
+    additions, deletions, reversals = [], [], []
+    for h in extensions:
+        for x, y in itertools.permutations(range(h.node_count), 2):
+            if x in h.pa(y):
+                deleted = h.copy()
+                deleted.remove_arc(x, y)
+                flipped = deleted.copy()
+                flipped.add_arc(y, x)
+                edits = [(deletions, deleted), (reversals, flipped)]
+            elif not h.is_adjacent(x, y):
+                added = h.copy()
+                added.add_arc(x, y)
+                edits = [(additions, added)]
+            else:
+                continue
+            for found, h2 in edits:
+                if h2.is_dag() and rpdag_key(h2) != key:
+                    found.append(rpdag_key(h2))
+    return additions, deletions, reversals
+
+
 class TestNeighborhoodCompleteness:
     def test_matches_single_arc_edits_of_extensions_n3(self):
         # Oracle: the operator neighborhood of G is exactly the set of
@@ -332,25 +392,44 @@ class TestNeighborhoodCompleteness:
         for g in reps:
             got = {rpdag_key(apply_operator(g, op).extend())
                    for op in enumerate_neighborhood(g)}
-            want = set()
             extensions = [h for h in enumerate_dags(3)
                           if is_extension(g, h)]
-            for h in extensions:
-                for x in range(3):
-                    for y in range(3):
-                        if x == y:
-                            continue
-                        if h.is_adjacent(x, y):
-                            if x in h.pa(y):
-                                h2 = h.copy()
-                                h2.remove_arc(x, y)
-                                want.add(rpdag_key(h2))
-                        else:
-                            h2 = h.copy()
-                            h2.add_arc(x, y)
-                            if h2.is_dag():
-                                want.add(rpdag_key(h2))
+            additions, deletions, _ = single_arc_edits(g, extensions)
+            want = set(additions + deletions)
             assert got == want, g
+
+    @pytest.mark.parametrize("n, tally", [
+        (3, {"additions": (48, 48), "deletions": (48, 48),
+             "moves": (48, 48), "reversals": (0, 18)}),
+        (4, {"additions": (2016, 2016), "deletions": (2016, 2016),
+             "moves": (1932, 1932), "reversals": (0, 972)})],
+        ids=["n3", "n4"])
+    def test_census_of_single_arc_edits(self, n, tally):
+        # A reference independent of the applicability oracles: for every
+        # restricted PDAG g on n nodes (a reduced census representative,
+        # extended by the DAGs sharing its key), the keys one rpdag move
+        # reaches are those of the key-changing arc additions and
+        # deletions on g's extensions, and never that of a key-changing
+        # reversal: the paper's five operators reverse no arc.  ``tally``
+        # pins (hits, total) per list, summed over every g.
+        counted = dict.fromkeys(tally, (0, 0))
+        for dags in group_by_rpdag_key(n).values():
+            g = dags[0].reduce_to_rpdag()
+            moves = [rpdag_key(apply_operator(g, op).extend())
+                     for op in enumerate_neighborhood(g)]
+            additions, deletions, reversals = single_arc_edits(g, dags)
+            reached, edits = set(moves), set(additions + deletions)
+            assert reached == edits, g
+            assert not reached & set(reversals), g
+            for name, keys, target in [
+                    ("additions", additions, reached),
+                    ("deletions", deletions, reached),
+                    ("moves", moves, edits),
+                    ("reversals", reversals, reached)]:
+                hits, total = counted[name]
+                counted[name] = (hits + sum(k in target for k in keys),
+                                 total + len(keys))
+        assert counted == tally
 
 
 class TestDeltaScore:
