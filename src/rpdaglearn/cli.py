@@ -110,6 +110,9 @@ def _distance(learned, gold):
 
 
 def cmd_learn(args):
+    tabu_options = (args.tabu_len, args.tabu_iters)
+    if args.strategy == "greedy" and tabu_options != (None, None):
+        raise UsageError("--tabu-len and --tabu-iters need --strategy tabu")
     # --out may name its own --start: resuming in place writes a network
     # file over a network file.
     inputs = {"--data": args.data, "--gold": args.gold}

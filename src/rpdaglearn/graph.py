@@ -87,6 +87,7 @@ class PartialDag:
 
     def is_adjacent(self, x, y):
         self._check_node(x)
+        self._check_node(y)
         return y in self._pa[x] or y in self._ch[x] or y in self._ne[x]
 
     def arcs(self):
@@ -115,12 +116,11 @@ class PartialDag:
     # -- mutation --------------------------------------------------------
 
     def add_arc(self, x, y):
-        self._check_node(x)
-        self._check_node(y)
-        if x == y:
-            raise GraphError("self loop")
+        # is_adjacent range-checks both nodes; no node is adjacent to itself.
         if self.is_adjacent(x, y):
             raise GraphError(f"nodes {x}, {y} already adjacent")
+        if x == y:
+            raise GraphError("self loop")
         self._pa[y].add(x)
         self._ch[x].add(y)
 
@@ -131,12 +131,10 @@ class PartialDag:
         self._ch[x].discard(y)
 
     def add_link(self, x, y):
-        self._check_node(x)
-        self._check_node(y)
-        if x == y:
-            raise GraphError("self loop")
         if self.is_adjacent(x, y):
             raise GraphError(f"nodes {x}, {y} already adjacent")
+        if x == y:
+            raise GraphError("self loop")
         self._ne[x].add(y)
         self._ne[y].add(x)
 

@@ -176,25 +176,24 @@ def _rpdag_neighbourhood(g):
     """The applicable restricted-PDAG moves of g, from one reach matrix.
 
     The UC test of x-y holds iff x reaches y: between parentless nodes a
-    semi-directed path can only run along links (condition 1).  Each A_arc
-    DC test reads the reach of y, and each A_hh DC test one reach set of
-    y with the redirected link y-z skipped."""
+    semi-directed path can only run along links (condition 1).  The DC
+    test of x->y reads the reach of y, and that of x->y<-z one reach set
+    of y with the link y-z skipped, without the paper's guards: a path
+    from y to x != y leaves y along an edge and enters x along an arc or
+    a link, so x has a parent or a neighbour; and if y has a parent, so
+    does every node it reaches (condition 1)."""
     n = g.node_count
     arcs, links, reach = g.matrices()
-    pa, ch, ne = arcs.any(0), arcs.any(1), links.any(1)
+    pa = arcs.any(0)
     free = ~(arcs | arcs.T | links | np.eye(n, dtype=bool))
     # Linked nodes have no parent (condition 1): every link y-z, both ways.
     hh_links = list(map(tuple, np.argwhere(links).tolist()))
-    outgoing, anchored = ch | (links.sum(1) >= 2), pa | ne
     hh = free[:, [y for y, _ in hh_links]]
     for i, (y, z) in enumerate(hh_links):
-        if outgoing[y] and (hh[:, i] & anchored).any():
-            reached = list(g.semi_directed_reach(y, (y, z)))
-            hh[reached, i] &= ~anchored[reached]
+        hh[list(g.semi_directed_reach(y, (y, z))), i] = False
     return Neighbourhood({
         "A_link": np.triu(free & ~pa[:, None] & ~pa & ~reach, 1),
-        "A_arc": free & (pa[:, None] | pa)
-        & ~(pa[:, None] & (ch | ne) & reach.T),
+        "A_arc": free & (pa[:, None] | pa) & ~reach.T,
         "A_hh": hh, "D_arc": arcs, "D_link": np.triu(links, 1)}, hh_links)
 
 

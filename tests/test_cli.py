@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from rpdaglearn import cli
 from rpdaglearn.cli import main
+from rpdaglearn.graph import GraphError, PartialDag
 
 COLLIDER = str(files("rpdaglearn") / "nets" / "collider3.json")
 GOLD8 = str(files("rpdaglearn") / "nets" / "gold8.json")
@@ -590,6 +592,30 @@ class TestCensus:
         assert main(["census", "--n", "9"]) == 1
 
 
+class TestInternalError:
+    """Exit 3 means a broken invariant, which no input should reach; a
+    patched failure stands in for one."""
+
+    def test_graph_error_from_learn(self, monkeypatch, tmp_path, sampled_csv,
+                                    capsys):
+        def broken(*args, **kwargs):
+            raise GraphError("cascade left a node with a parent and a link")
+
+        monkeypatch.setattr(cli, "greedy_search", broken)
+        assert main(["learn", "--data", sampled_csv,
+                     "--out", str(tmp_path / "out.json")]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: cascade left a node with a parent and a link\n")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_census_partition_violated(self, monkeypatch, capsys):
+        monkeypatch.setattr(PartialDag, "count_extensions", lambda g: 0)
+        assert main(["census", "--n", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1].split()[-1] == "no"
+        assert err == "internal error: partition properties violated\n"
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
@@ -602,6 +628,11 @@ class TestUsage:
         ["learn", "--ess", "0"],
         ["learn", "--strategy", "tabu", "--tabu-iters", "0"],
         ["learn", "--strategy", "tabu", "--tabu-len", "-1"],
+        # Greedy takes no tabu option, in range or not.
+        ["learn", "--tabu-iters", "0"],
+        ["learn", "--tabu-len", "-5"],
+        ["learn", "--tabu-iters", "3"],
+        ["learn", "--space", "dag", "--strategy", "greedy", "--tabu-len", "2"],
         # Past a C ssize_t: no run could finish, and deque would overflow.
         ["learn", "--strategy", "tabu", "--tabu-len", "100000000000000000000",
          "--tabu-iters", "100000000000000000000"],

@@ -452,6 +452,15 @@ class TestFitParameters:
                              smoothing=1.0)
         assert all(np.all(t > 0) for t in net.cpts)
 
+    @pytest.mark.parametrize("structure, message", [
+        (PartialDag.from_edges(2, links=[(0, 1)]), "requires a DAG"),
+        (PartialDag.from_edges(2, arcs=[(0, 1)]), "arity mismatch")],
+        ids=["link", "arity"])
+    def test_structure_refused(self, structure, message):
+        ds = Dataset(["y"], [2], np.array([[0], [1]]))
+        with pytest.raises(DataError, match=message):
+            fit_parameters(structure, ds)
+
     @pytest.mark.parametrize("smoothing", [float("nan"), -1.0,
                                            float("inf")])
     def test_bad_smoothing_refused(self, smoothing):

@@ -93,3 +93,5 @@ class TestEvaluate:
         ds = random_dataset(3, 10, rng)
         with pytest.raises(GraphError):
             evaluate(PartialDag(4), ds)
+        with pytest.raises(GraphError, match="gold/dataset variable mismatch"):
+            evaluate(PartialDag(3), ds, gold=PartialDag(4))

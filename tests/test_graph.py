@@ -41,6 +41,39 @@ class TestTopologicalOrder:
                 g.topological_order()
 
 
+class TestRefusals:
+    def test_negative_node_count(self):
+        with pytest.raises(GraphError, match="non-negative"):
+            PartialDag(-1)
+
+    @pytest.mark.parametrize("x, y", [(0, 5), (5, 0), (0, -1), (-1, 0)])
+    def test_adjacency_of_node_outside_graph(self, x, y):
+        with pytest.raises(GraphError, match="out of range"):
+            PartialDag(3).is_adjacent(x, y)
+
+    @pytest.mark.parametrize("arcs, links, call, message", [
+        ([], [], ("add_arc", 1, 1), "self loop"),
+        ([(0, 1)], [], ("add_arc", 1, 0), "nodes 1, 0 already adjacent"),
+        ([], [], ("add_link", 2, 2), "self loop"),
+        ([], [(0, 1)], ("add_link", 1, 0), "nodes 1, 0 already adjacent"),
+        ([], [(0, 1)], ("remove_arc", 0, 1), "arc 0->1 not present"),
+        ([(0, 1)], [], ("remove_link", 0, 1), "link 0-1 not present"),
+        # A lone arc breaks condition 4.
+        ([(0, 1)], [], ("count_extensions",), "requires a restricted PDAG"),
+        ([(0, 1)], [], ("extend",), "requires a restricted PDAG"),
+    ])
+    def test_structural_precondition(self, arcs, links, call, message):
+        g = g_from(3, arcs, links)
+        before = g.copy()
+        with pytest.raises(GraphError, match=message):
+            getattr(g, call[0])(*call[1:])
+        assert g == before
+
+    def test_census_past_its_limit(self):
+        with pytest.raises(GraphError, match="census limited to n <= 5"):
+            census(6)
+
+
 class TestIsRpdag:
     def test_link_chain(self):
         assert g_from(3, links=[(0, 1), (1, 2)]).is_rpdag()
@@ -129,6 +162,11 @@ class TestCascades:
 
     def test_complete_noop_without_links(self):
         g = g_from(3, arcs=[(0, 1), (2, 1)])
+        before = g.copy()
+        assert g.complete_cascade(1) == before
+
+    def test_complete_noop_without_parent(self):
+        g = g_from(3, links=[(0, 1), (1, 2)])
         before = g.copy()
         assert g.complete_cascade(1) == before
 

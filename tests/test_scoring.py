@@ -53,6 +53,13 @@ class TestCountStatistics:
             scorer.local(0, [1, 1])
         assert scorer.cache.store == {}
 
+    @pytest.mark.parametrize("y, parents, bad", [
+        (2, [], 2), (0, [3], 3), (-1, [], -1), (0, [-1], -1)])
+    def test_node_outside_dataset(self, y, parents, bad):
+        ds = dataset_from([2, 2], [[0, 1]])
+        with pytest.raises(GraphError, match=f"node index {bad} out of range"):
+            count_statistics(ds, y, parents)
+
     @pytest.mark.parametrize("n", [42, 66])
     def test_family_too_wide_to_count(self, n):
         # Binary child with n - 1 binary parents: 2**42 cells (32 TiB) cannot
@@ -61,6 +68,20 @@ class TestCountStatistics:
         with pytest.raises(DataError, match=rf"family of v0 is too wide to "
                                             rf"count: q \* r = {2 ** n} "):
             count_statistics(ds, 0, range(1, n))
+
+
+class TestUnknownNames:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"score": "aic"}, "unknown score 'aic'"),
+        ({"prior": "flat"}, "unknown prior 'flat'")])
+    def test_scorer(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Scorer(dataset_from([2], [[0]]), **kwargs)
+
+    def test_bdeu_prior(self):
+        table = count_statistics(dataset_from([2], [[0]]), 0, [])
+        with pytest.raises(ValueError, match="unknown prior 'flat'"):
+            bdeu_local(table, 1.0, "flat")
 
 
 class TestBdeuLocal:
@@ -190,6 +211,14 @@ class TestScoreEquivalence:
         rev = PartialDag.from_edges(3, arcs=[(1, 0), (1, 2)])
         assert scorer.score_dag(chain) == pytest.approx(scorer.score_dag(rev),
                                                         abs=1e-9)
+
+    @pytest.mark.parametrize("arcs, links", [
+        ([], [(0, 1)]), ([(0, 1), (1, 2), (2, 0)], [])],
+        ids=["link", "directed-cycle"])
+    def test_score_dag_refuses_non_dag(self, rng, arcs, links):
+        g = PartialDag.from_edges(3, arcs, links)
+        with pytest.raises(GraphError, match="score_dag requires a DAG"):
+            Scorer(random_dataset(3, 10, rng)).score_dag(g)
 
     def test_rpdag_score_is_extension_score(self, rng):
         ds = random_dataset(4, 60, rng)

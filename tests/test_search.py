@@ -208,6 +208,25 @@ class TestNeighborhoodOracle:
                 and g.partially_directed_reachable(op.y, op.x))
         assert skip_matters > 0
 
+    def test_graphs_visited_by_tabu(self, monkeypatch):
+        # Larger chain components than oracle_graphs builds: every graph a
+        # seeded tabu run visits at n = 12.
+        visited, build = [], search._RPDAG_SPACE.neighborhood
+
+        def recorded(g):
+            visited.append(g.copy())
+            return build(g)
+
+        monkeypatch.setattr(search._RPDAG_SPACE, "neighborhood", recorded)
+        ds = sample(random_network(12, seed=12), 2000, seed=12)
+        tabu_search(ds, Scorer(ds))
+        assert len(visited) == 132
+        assert max(len(c) for g in visited
+                   for c in g.chain_components()) == 8
+        for g in visited:
+            assert g.is_rpdag()
+            assert enumerate_neighborhood(g) == oracle_neighborhood(g), g
+
 
 def dag_oracle_neighborhood(g):
     """Every add/delete/reverse candidate filtered through
