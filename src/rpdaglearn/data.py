@@ -87,8 +87,10 @@ class Dataset:
 def index_dtype(count):
     """Narrowest of uint8, uint16 and uint32 that holds 0 ... count - 1 and
     casts safely to intp; intp when none does."""
-    return next((t for top, t in _WIDTHS if count - 1 <= top),
-                np.dtype(np.intp))
+    for top, t in _WIDTHS:
+        if count - 1 <= top:
+            return t
+    return np.dtype(np.intp)
 
 
 def _whole_numbers(col, name):
@@ -269,17 +271,18 @@ class BayesNet:
 def parent_configs(rows, parents, cardinalities, q=None):
     """Mixed-radix parent-configuration index of every row, the first of
     ``parents`` most significant.  Callers pass the parents in ascending
-    node order, and may pass their number of configurations q.
+    node order, and may pass their number of configurations q, which
+    must then fit intp.
 
     The key is stored in ``index_dtype(q)``, so for q up to 256 it is one
     byte a row; a q whose largest index would not fit intp raises
     DataError rather than wrap.
     """
     if q is None:
-        q = math.prod(cardinalities[p] for p in parents)
-    if q - 1 > _INTP_MAX:
-        raise DataError(f"cannot index {q} configurations: the key would "
-                        f"not fit intp")
+        q = math.prod(map(cardinalities.__getitem__, parents))
+        if q - 1 > _INTP_MAX:
+            raise DataError(f"cannot index {q} configurations: the key "
+                            f"would not fit intp")
     dtype = index_dtype(q)
     # A one-state parent adds nothing to the key; skipping it keeps every
     # radix multiplied in below q, so it fits the key's width.  q = 0
@@ -301,12 +304,12 @@ def family_counts(dataset, y, parents):
     The table is dense, so a family whose q * r_y cells cannot be indexed
     or allocated raises DataError.
     """
-    r = dataset.cardinalities[y]
-    q = math.prod(dataset.cardinalities[p] for p in parents)
+    cardinalities = dataset.cardinalities
+    r = cardinalities[y]
+    q = math.prod(map(cardinalities.__getitem__, parents))
     cells = q * r
     if cells <= _INTP_MAX:
-        j = parent_configs(dataset.rows, [*parents, y], dataset.cardinalities,
-                           cells)
+        j = parent_configs(dataset.rows, [*parents, y], cardinalities, cells)
         try:
             return np.bincount(j, minlength=cells).reshape(q, r)
         except MemoryError:

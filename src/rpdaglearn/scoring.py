@@ -52,7 +52,8 @@ def count_statistics(dataset, y, parents):
     if len(set(parents)) != len(parents):
         raise GraphError("a parent is named twice")
     n = dataset.n
-    for v in (y, *parents):
+    # The parents are sorted, so their two ends bound the rest.
+    for v in (y, parents[0], parents[-1]) if parents else (y,):
         if not 0 <= v < n:
             raise GraphError(f"node index {v} out of range")
     counts = family_counts(dataset, y, parents)
@@ -74,25 +75,30 @@ def bdeu_local(table, ess, prior="uniform"):
     _check_ess(ess)
     if prior not in PRIOR_IDS:
         raise ValueError(f"unknown prior {prior!r}")
-    r, q = table.r_child, table.q
+    return float(_bdeu(table.counts[None], ess, prior)[0])
+
+
+def _bdeu(counts, ess, prior):
+    """BDeu scores, as :func:`bdeu_local` defines them, of k families of
+    one table shape from their stacked (k, q, r) counts."""
+    k, q, r = counts.shape
     if r * q == 0:
-        return 0.0
+        return np.zeros(k)
     a_jk = ess / (r * q)
     a_j = ess / q
     # gammaln overflows to inf without a warning; subtracting two infs
     # would warn and make the score NaN, so the two scalar terms are
     # checked first.
     lg_j, lg_jk = gammaln(a_j), gammaln(a_jk)
-    value = math.nan
+    values = np.full(k, math.nan)
     if math.isfinite(lg_j) and math.isfinite(lg_jk):
-        nj = table.marginals
-        value = float((lg_j - gammaln(a_j + nj)).sum()
-                      + (gammaln(a_jk + table.counts) - lg_jk).sum())
-    if not math.isfinite(value):
+        values = ((lg_j - gammaln(a_j + counts.sum(2))).sum(1)
+                  + (gammaln(a_jk + counts) - lg_jk).sum((1, 2)))
+    if not np.isfinite(values).all():
         raise ValueError(f"ess {ess} gives a BDeu score that is not finite")
     if prior == "param-penalty":
-        value += (r - 1) * q * PARAM_PENALTY_LOG
-    return value
+        values += (r - 1) * q * PARAM_PENALTY_LOG
+    return values
 
 
 def bic_local(table, m):
@@ -133,6 +139,7 @@ class Scorer:
     """Scoring front end: a dataset, a score function, and its own cache.
 
     ``local(y, parents)`` returns the family score through the cache;
+    ``precompute`` scores many families in one batch beforehand;
     ``score_dag`` and ``score_rpdag`` sum families over a structure.
     """
 
@@ -148,25 +155,64 @@ class Scorer:
         self.prior = prior
         self.cache = LocalScoreCache()
 
-    def _compute(self, y, parents):
-        table = count_statistics(self.dataset, y, parents)
-        if self.score == "bdeu":
-            return bdeu_local(table, self.ess, self.prior)
-        return bic_local(table, self.dataset.m)
+    def _compute(self, keys):
+        """Count each family of ``keys``, distinct cache keys none of which
+        is stored, and store their scores once all are scored.
+
+        BDeu scores the tables it holds in one pass per table shape, and
+        does so before it would hold more cells than the data has rows:
+        the held tables then take no more memory than the intp copy of
+        the row keys that each count makes.  BIC scores each table alone.
+        """
+        dataset = self.dataset
+        if self.score == "bic":
+            self.cache.store.update({
+                key: bic_local(count_statistics(dataset, *key), dataset.m)
+                for key in keys})
+            return
+        scores, held, cells = {}, {}, 0   # held: shape -> keys, counts
+        for key in keys:
+            counts = count_statistics(dataset, *key).counts
+            if cells + counts.size > dataset.m:
+                self._score_held(held, scores)
+                held, cells = {}, 0
+            group = held.setdefault(counts.shape, ([], []))
+            group[0].append(key)
+            group[1].append(counts)
+            cells += counts.size
+        self._score_held(held, scores)
+        self.cache.store.update(scores)
+
+    def _score_held(self, held, scores):
+        for keys, tables in held.values():
+            values = _bdeu(np.stack(tables), self.ess, self.prior)
+            scores.update(zip(keys, values.tolist()))
+
+    def precompute(self, families):
+        """Score, in one batch, each of the (child, parent set) pairs
+        ``families`` whose score is not stored yet.  No lookup is counted:
+        the callers read the scores through :meth:`local`."""
+        store = self.cache.store
+        keys = dict.fromkeys((y, tuple(sorted(pa))) for y, pa in families)
+        missing = [key for key in keys if key not in store]
+        if missing:
+            self._compute(missing)
 
     def local(self, y, parents):
         key = (y, tuple(sorted(parents)))
         self.cache.requested += 1
         value = self.cache.store.get(key)
         if value is None:
-            value = self._compute(y, key[1])
-            self.cache.store[key] = value
+            self._compute([key])
+            value = self.cache.store[key]
         return value
 
     def score_dag(self, h):
         if not h.is_dag():
             raise GraphError("score_dag requires a DAG")
-        return sum(self.local(y, h.pa(y)) for y in range(h.node_count))
+        families = [(y, h.pa(y)) for y in range(h.node_count)]
+        self.precompute(families)
+        return sum(self.local(y, pa) for y, pa in families)
 
     def score_rpdag(self, g):
         """Score of the canonical extension, which refuses a non-RPDAG."""

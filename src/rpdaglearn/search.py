@@ -119,26 +119,35 @@ def apply_operator(g, op):
     return _apply_inplace(g.copy(), op)
 
 
-def delta_score(g, op, scorer):
-    """Score change of an applicable operator in either space."""
+def _families(g, op):
+    """The (child, parent set) pairs whose local scores give op's delta in
+    either space, in pairs: a family after the move, then before it."""
     x, y, z = op.x, op.y, op.z
-    local = scorer.local
     if op.kind == "A_link":
-        return local(y, {x}) - local(y, ())
+        return [(y, {x}), (y, ())]
     if op.kind == "A_arc":
         pa = g.pa(y)
-        return local(y, pa | {x}) - local(y, pa)
+        return [(y, pa | {x}), (y, pa)]
     if op.kind == "A_hh":
-        return local(y, {x, z}) - local(y, {z})
+        return [(y, {x, z}), (y, {z})]
     if op.kind == "D_link":
-        return local(y, ()) - local(y, {x})
+        return [(y, ()), (y, {x})]
     if op.kind == "D_arc":
         pa = g.pa(y)
-        return local(y, pa - {x}) - local(y, pa)
+        return [(y, pa - {x}), (y, pa)]
     if op.kind == "R_arc":
         pay, pax = g.pa(y), g.pa(x)
-        return (local(y, pay - {x}) - local(y, pay)
-                + local(x, pax | {y}) - local(x, pax))
+        return [(y, pay - {x}), (y, pay), (x, pax | {y}), (x, pax)]
+
+
+def delta_score(g, op, scorer):
+    """Score change of an applicable operator in either space: the local
+    scores of :func:`_families`, added and subtracted in turn."""
+    d = 0.0
+    for i, (v, pa) in enumerate(_families(g, op)):
+        s = scorer.local(v, pa)
+        d = d - s if i % 2 else d + s
+    return d
 
 
 class Neighbourhood:
@@ -306,17 +315,19 @@ _DAG_SPACE = _Space(neighborhood=_dag_neighbourhood, delta=delta_score,
 def _scored(g, nb, deltas, space, scorer):
     """The delta of every move of ``nb`` in its flat layout, -inf off the
     masks, and how many ``space.delta`` computed: one per move whose kept
-    delta is NaN.  ``deltas`` holds an n x n array per pair kind and, for
-    A_hh, a length-n vector (over x) per link (y, z)."""
+    delta is NaN, after the scorer has scored the families those deltas
+    read in one batch.  ``deltas`` holds an n x n array per pair kind and,
+    for A_hh, a length-n vector (over x) per link (y, z)."""
     n = g.node_count
     hh = deltas["A_hh"]
     unset = np.full(n, np.nan)
     kept = np.concatenate([
         np.array([hh.get(link, unset) for link in nb.links]).T.ravel()
         if kind == "A_hh" else deltas[kind].ravel() for kind in nb.masks])
-    missing = np.flatnonzero(nb.flat & np.isnan(kept)).tolist()
-    for i in missing:
-        op = nb.move(i)
+    missing = [(i, nb.move(i))
+               for i in np.flatnonzero(nb.flat & np.isnan(kept)).tolist()]
+    scorer.precompute([f for _, op in missing for f in _families(g, op)])
+    for i, op in missing:
         d = kept[i] = space.delta(g, op, scorer)
         if op.kind == "A_hh":
             hh.setdefault((op.y, op.z), unset.copy())[op.x] = d

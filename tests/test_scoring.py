@@ -5,7 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from scipy.special import gammaln
+
 from conftest import bdeu_sequential_oracle, random_dataset, random_rpdag
+from rpdaglearn import scoring
 from rpdaglearn.census import enumerate_dags, rpdag_key
 from rpdaglearn.data import DataError, Dataset
 from rpdaglearn.graph import GraphError, PartialDag
@@ -168,6 +171,95 @@ class TestBdeuLocal:
             table = count_statistics(ds, 0, parents)
             for prior in ("uniform", "param-penalty"):
                 assert bdeu_local(table, 1.0, prior) == 0.0
+
+
+def bdeu_one_table(table, ess, prior):
+    """BDeu of one table, summed as the per-family path did before
+    families were scored in batches; the batched sums must equal it bit
+    for bit."""
+    r, q = table.r_child, table.q
+    if r * q == 0:
+        return 0.0
+    a_jk, a_j = ess / (r * q), ess / q
+    value = float((gammaln(a_j) - gammaln(a_j + table.marginals)).sum()
+                  + (gammaln(a_jk + table.counts) - gammaln(a_jk)).sum())
+    if prior == "param-penalty":
+        value += (r - 1) * q * scoring.PARAM_PENALTY_LOG
+    return value
+
+
+def record_batches(monkeypatch):
+    """Make the BDeu kernel record the (k, q, r) shape of each batch."""
+    kernel, shapes = scoring._bdeu, []
+
+    def recorded(counts, ess, prior):
+        shapes.append(counts.shape)
+        return kernel(counts, ess, prior)
+
+    monkeypatch.setattr(scoring, "_bdeu", recorded)
+    return shapes
+
+
+class TestBatchedBdeu:
+    @pytest.mark.parametrize("prior", ["uniform", "param-penalty"])
+    @pytest.mark.parametrize("ess", [1e-3, 1.0, 10.0])
+    def test_bit_identical_to_one_table(self, monkeypatch, rng, ess, prior):
+        # Up to three parents of up to five states: tables of 2 to 625
+        # cells, past numpy's 128-element pairwise blocks, in batches that
+        # mix shapes.
+        ds = random_dataset(7, 3000, rng, max_card=5)
+        families = [(y, parents) for y in range(7) for k in range(4)
+                    for parents in itertools.combinations(
+                        [v for v in range(7) if v != y], k)]
+        shapes = record_batches(monkeypatch)
+        scorer = Scorer(ds, "bdeu", ess, prior)
+        scorer.precompute(families)
+        assert len(scorer.cache.store) == len(families)
+        assert max(q * r for k, q, r in shapes if k > 1) > 128
+        for (y, parents), value in scorer.cache.store.items():
+            table = count_statistics(ds, y, parents)
+            expected = bdeu_one_table(table, ess, prior)
+            assert value == expected
+            assert bdeu_local(table, ess, prior) == expected
+
+    def test_memory_bound_flushes_mid_batch(self, monkeypatch, rng):
+        # 20 rows: the held tables are scored whenever their cells would
+        # pass 20, so each shape is scored in several batches.
+        ds = random_dataset(6, 20, rng, max_card=4)
+        families = [(y, parents) for y in range(6) for k in range(3)
+                    for parents in itertools.combinations(
+                        [v for v in range(6) if v != y], k)]
+        shapes = record_batches(monkeypatch)
+        batched = Scorer(ds)
+        batched.precompute(families)
+        assert all(k * q * r <= 20 or k == 1 for k, q, r in shapes)
+        assert len(shapes) > len({(q, r) for _, q, r in shapes})
+        one_at_a_time = Scorer(ds)
+        assert batched.cache.store == {
+            key: one_at_a_time.local(*key) for key in batched.cache.store}
+
+    def test_empty_data(self):
+        ds = dataset_from([0, 2, 3], np.zeros((0, 3)))
+        families = [(0, ()), (0, (1,)), (1, ()), (1, (0,)), (1, (2,)),
+                    (2, (1,))]
+        for prior in ("uniform", "param-penalty"):
+            scorer = Scorer(ds, "bdeu", 1.0, prior)
+            scorer.precompute(families)
+            for (y, parents), value in scorer.cache.store.items():
+                table = count_statistics(ds, y, parents)
+                assert value == bdeu_one_table(table, 1.0, prior)
+                if table.q * table.r_child == 0:
+                    assert value == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ess", [1e308, 1e-320])
+    def test_ess_whose_gammaln_overflows(self, ess):
+        ds = dataset_from([2, 3, 2], [[0, 1, 1], [1, 2, 0], [1, 0, 1]])
+        scorer = Scorer(ds, "bdeu", ess=ess)
+        message = f"ess {ess} gives a BDeu score that is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scorer.precompute([(0, ()), (0, (1,)), (2, (0, 1)), (1, (2,))])
+        assert scorer.cache.store == {}
 
 
 class TestBicLocal:

@@ -559,6 +559,25 @@ class TestDeltaCache:
         assert report.iterations_applied > 3
         assert len(used) > 2 * report.individuals_evaluated
 
+    @pytest.mark.parametrize("run", [
+        greedy_search, tabu_search, dag_greedy_search, dag_tabu_search])
+    def test_batches_score_only_families_looked_up(self, monkeypatch, run):
+        # Each iteration scores its new families in one batch before its
+        # deltas read them; the batch scores no family a delta leaves unread.
+        local, looked_up = Scorer.local, set()
+
+        def recorded(scorer, y, parents):
+            looked_up.add((y, tuple(sorted(parents))))
+            return local(scorer, y, parents)
+
+        monkeypatch.setattr(Scorer, "local", recorded)
+        ds = sample(random_network(12, seed=12), 2000, seed=12)
+        scorer = Scorer(ds)
+        kwargs = {"tsit": 40} if run in (tabu_search, dag_tabu_search) else {}
+        _, report = run(ds, scorer, **kwargs)
+        assert report.iterations_applied > 5
+        assert set(scorer.cache.store) == looked_up
+
 
 class TestGreedy:
     def test_trace_improves_monotonically(self, rng):
