@@ -1,4 +1,5 @@
-"""Categorical datasets, Bayesian networks, CSV and network-file I/O.
+"""Categorical datasets and their family counts, Bayesian networks, CSV
+and network-file I/O.
 
 Datasets store rows as unsigned state indices in the narrowest width that
 holds them (see :func:`index_dtype`); each variable's alphabet is
@@ -268,21 +269,14 @@ class BayesNet:
         return sorted(self.structure.pa(y))
 
 
-def parent_configs(rows, parents, cardinalities, q=None):
+def parent_configs(rows, parents, cardinalities, q):
     """Mixed-radix parent-configuration index of every row, the first of
     ``parents`` most significant.  Callers pass the parents in ascending
-    node order, and may pass their number of configurations q, which
-    must then fit intp.
+    node order and their number of configurations q, which must fit intp.
 
     The key is stored in ``index_dtype(q)``, so for q up to 256 it is one
-    byte a row; a q whose largest index would not fit intp raises
-    DataError rather than wrap.
+    byte a row.
     """
-    if q is None:
-        q = math.prod(map(cardinalities.__getitem__, parents))
-        if q - 1 > _INTP_MAX:
-            raise DataError(f"cannot index {q} configurations: the key "
-                            f"would not fit intp")
     dtype = index_dtype(q)
     # A one-state parent adds nothing to the key; skipping it keeps every
     # radix multiplied in below q, so it fits the key's width.  q = 0
@@ -297,13 +291,42 @@ def parent_configs(rows, parents, cardinalities, q=None):
     return j
 
 
-def family_counts(dataset, y, parents):
-    """Joint counts, shape (q, r_y): row j is parent configuration j (see
-    :func:`parent_configs`), column k is state k of variable y.
+@dataclass
+class ContingencyTable:
+    """Joint counts of a child against its parent configurations.
 
-    The table is dense, so a family whose q * r_y cells cannot be indexed
-    or allocated raises DataError.
+    ``counts[j, k]`` is the number of rows with parent configuration j
+    (see :func:`parent_configs`) and child state k.
     """
+
+    counts: np.ndarray
+    r_child: int
+    q: int
+
+    @property
+    def marginals(self):
+        return self.counts.sum(axis=1)
+
+    @property
+    def total(self):
+        return int(self.counts.sum())
+
+
+def count_statistics(dataset, y, parents):
+    """Exact joint counts of variable y against a parent set, given in any
+    order.  The table is dense, so a family whose q * r_y cells cannot be
+    indexed or allocated raises DataError.
+    """
+    parents = sorted(parents)
+    if y in parents:
+        raise GraphError("child cannot be its own parent")
+    if len(set(parents)) != len(parents):
+        raise GraphError("a parent is named twice")
+    n = dataset.n
+    # The parents are sorted, so their two ends bound the rest.
+    for v in (y, parents[0], parents[-1]) if parents else (y,):
+        if not 0 <= v < n:
+            raise GraphError(f"node index {v} out of range")
     cardinalities = dataset.cardinalities
     r = cardinalities[y]
     q = math.prod(map(cardinalities.__getitem__, parents))
@@ -311,7 +334,8 @@ def family_counts(dataset, y, parents):
     if cells <= _INTP_MAX:
         j = parent_configs(dataset.rows, [*parents, y], cardinalities, cells)
         try:
-            return np.bincount(j, minlength=cells).reshape(q, r)
+            return ContingencyTable(
+                np.bincount(j, minlength=cells).reshape(q, r), r, q)
         except MemoryError:
             pass
     raise DataError(f"family of {dataset.variable_names[y]} is too wide to "
@@ -328,6 +352,8 @@ def sample(net, m, seed):
         raise DataError("sampling requires conditional probability tables")
     if m < 0:
         raise ValueError("sample size must be non-negative")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
     rng = np.random.default_rng(seed)
     order = net.structure.topological_order()
     n = net.structure.node_count
@@ -338,8 +364,9 @@ def sample(net, m, seed):
         raise ValueError(f"sample size {m} is too large: its {m} x {n} "
                          f"table cannot be allocated") from None
     for y in order:
-        j = parent_configs(rows, net.parents(y), net.cardinalities)
-        table = net.cpts[y]
+        table = net.cpts[y]   # one row per configuration, as validated
+        j = parent_configs(rows, net.parents(y), net.cardinalities,
+                           len(table))
         u = rng.random(m)
         cum = np.cumsum(table, axis=1)
         drawn = (u[:, None] > cum[j]).sum(axis=1)
@@ -365,7 +392,7 @@ def fit_parameters(structure, dataset, smoothing=1.0):
         raise DataError("structure/dataset arity mismatch")
     cpts = []
     for y in range(dataset.n):
-        counts = family_counts(dataset, y, sorted(structure.pa(y)))
+        counts = count_statistics(dataset, y, structure.pa(y)).counts
         q, r = counts.shape
         nj = counts.sum(axis=1, keepdims=True)
         if smoothing > 0:

@@ -345,6 +345,8 @@ def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
     best graph is its current graph, since an applied move may gain less
     than the score's ulp.  Tabu runs tsit iterations and keeps a copy of
     the best graph seen."""
+    if scorer.dataset is not dataset:
+        raise ValueError("the scorer is built on a different dataset")
     n = dataset.n
     if greedy:
         tll = 0

@@ -77,6 +77,14 @@ class TestSample:
         assert f"sample size {n}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sample", "--net", COLLIDER, "--n", "5", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be non-negative, not -1\n")
+        assert not out.exists()
+
     def test_missing_network_file(self, tmp_path):
         rc = main(["sample", "--net", str(tmp_path / "no.json"),
                    "--n", "5", "--seed", "0",
@@ -570,7 +578,11 @@ class TestInputEdgeCases:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["edges"] == {"arcs": [], "links": []}
         assert main(["score", "--data", str(data), "--net", str(out)]) == 0
-        assert last_row(capsys) == ["0.00000", "0.00000", "0", "0"]
+        assert last_row(capsys) == ["0.00000", "0.00000", "0.00000", "0"]
+        report = tmp_path / "report.json"
+        assert main(["learn", "--data", str(data), "--out", str(out),
+                     "--report", str(report)]) == 0
+        assert type(json.loads(report.read_text())["KL"]) is float
 
     def test_header_without_fields(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -11,7 +11,7 @@ import pytest
 from conftest import random_network
 from rpdaglearn import data
 from rpdaglearn.data import (CSV_BLOCK_ROWS, BayesNet, DataError, Dataset,
-                             family_counts, fit_parameters, load_csv,
+                             count_statistics, fit_parameters, load_csv,
                              load_network, parent_configs, sample, save_csv,
                              save_network)
 from rpdaglearn.graph import PartialDag
@@ -304,7 +304,7 @@ class TestColumnMajor:
 class TestCounting:
     def test_first_parent_most_significant(self):
         rows = np.array([[0, 2, 1], [1, 0, 0], [1, 2, 1]])
-        j = parent_configs(rows, [0, 1], [2, 3, 2])
+        j = parent_configs(rows, [0, 1], [2, 3, 2], 6)
         assert j.tolist() == [2, 3, 5]
 
     @pytest.mark.parametrize("cards, width", [
@@ -324,7 +324,7 @@ class TestCounting:
         parents = list(range(len(cards)))
         ref = [functools.reduce(lambda j, p: j * cards[p] + int(row[p]),
                                 parents, 0) for row in rows]
-        j = parent_configs(rows, parents, cards)
+        j = parent_configs(rows, parents, cards, math.prod(cards))
         assert j.dtype == width
         assert j.tolist() == ref
         assert ref[1] == math.prod(cards) - 1
@@ -334,9 +334,9 @@ class TestCounting:
         # its narrow width.
         rows = np.array([[0, 1, 2], [1, 0, 1]])
         ds = Dataset(["a", "b", "c"], list(rows.max(axis=0) + 1), rows)
-        assert parent_configs(ds.rows, [1, 2], ds.cardinalities).dtype \
+        assert parent_configs(ds.rows, [1, 2], ds.cardinalities, 6).dtype \
             == np.uint8
-        assert family_counts(ds, 0, [1, 2]).tolist() == [
+        assert count_statistics(ds, 0, [1, 2]).counts.tolist() == [
             [0, 0], [0, 1], [0, 0], [0, 0], [0, 0], [1, 0]]
         assert all(type(r) is int for r in ds.cardinalities)
 
@@ -347,26 +347,29 @@ class TestCounting:
                      list(rows.max(axis=0) + 1), rows)
         with pytest.raises(DataError, match="family of v0 is too wide to "
                                             "count"):
-            family_counts(ds, 0, range(1, 66))
+            count_statistics(ds, 0, range(1, 66))
 
     def test_key_past_intp_refused(self):
         # 45 ternary columns: the last configuration is 3**45 - 1, which
         # int64 arithmetic would wrap to 2,833,654,757,305,440,082.
-        rows = np.full((2, 45), 2)
-        with pytest.raises(DataError, match=rf"cannot index {3 ** 45} "
-                                            rf"configurations"):
-            parent_configs(rows, list(range(45)), [3] * 45)
+        ds = Dataset([f"v{i}" for i in range(45)], [3] * 45,
+                     np.full((2, 45), 2))
+        with pytest.raises(DataError, match=rf"family of v0 is too wide to "
+                                            rf"count: q \* r = {3 ** 45} "):
+            count_statistics(ds, 0, range(1, 45))
 
     def test_family_counts(self):
         ds = Dataset(["a", "b"], [2, 3], [[0, 2], [1, 0], [1, 2], [1, 2]])
-        assert family_counts(ds, 1, [0]).tolist() == [[0, 0, 1], [1, 0, 2]]
-        assert family_counts(ds, 0, []).tolist() == [[1, 3]]
+        assert count_statistics(ds, 1, [0]).counts.tolist() == [
+            [0, 0, 1], [1, 0, 2]]
+        assert count_statistics(ds, 0, []).counts.tolist() == [[1, 3]]
         empty = Dataset(["a", "b"], [2, 3], np.zeros((0, 2)))
-        assert family_counts(empty, 1, [0]).tolist() == [[0] * 3] * 2
+        assert count_statistics(empty, 1, [0]).counts.tolist() == [
+            [0] * 3] * 2
         # No state for a: q * r = 0, so the 300 is never multiplied into
         # a one-byte key.
         stateless = Dataset(["a", "b", "c"], [0, 2, 300], np.zeros((0, 3)))
-        assert family_counts(stateless, 0, [1, 2]).shape == (600, 0)
+        assert count_statistics(stateless, 0, [1, 2]).counts.shape == (600, 0)
 
     @pytest.mark.parametrize("m", [0, 1, 37, 500])
     def test_equal_to_reference_in_either_layout(self, m):
@@ -382,9 +385,10 @@ class TestCounting:
                 for k in range(5):
                     for parents in map(list, itertools.combinations(others, k)):
                         j_ref, ref = counts_reference(rows, y, parents, cards)
-                        j = parent_configs(rows, parents, cards)
+                        j = parent_configs(rows, parents, cards,
+                                           len(ref))
                         assert np.array_equal(j, j_ref)
-                        table = family_counts(ds, y, parents)
+                        table = count_statistics(ds, y, parents).counts
                         assert table.dtype == ref.dtype
                         assert table.shape == ref.shape
                         assert np.array_equal(table, ref)
@@ -409,6 +413,11 @@ class TestSample:
         a = sample(net, 500, seed=11)
         b = sample(net, 500, seed=11)
         assert np.array_equal(a.rows, b.rows)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, "
+                                             "not -1"):
+            sample(small_net(), 5, seed=-1)
 
     def test_empirical_joint_converges(self):
         # 3-node chain; total variation against the exact joint.

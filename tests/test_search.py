@@ -618,6 +618,17 @@ class TestGreedy:
         with pytest.raises(StartError, match="arity mismatch"):
             greedy_search(ds, Scorer(ds), start=PartialDag(4))
 
+    @pytest.mark.parametrize("run", [
+        greedy_search, tabu_search, dag_greedy_search, dag_tabu_search])
+    @pytest.mark.parametrize("n_data, n_scored", [(5, 5), (3, 5), (5, 3)])
+    def test_scorer_of_other_data_rejected(self, rng, run, n_data, n_scored):
+        # Another sample of the same size would be learned silently, a
+        # larger one in part, and a smaller one fail on a node index.
+        ds = random_dataset(n_data, 30, rng)
+        other = random_dataset(n_scored, 30, rng)
+        with pytest.raises(ValueError, match="different dataset"):
+            run(ds, Scorer(other))
+
     def test_returns_current_graph_after_sub_ulp_move(self, monkeypatch,
                                                       rng):
         # A move that gains more than IMPROVE_TOL but less than the ulp of
