@@ -28,6 +28,14 @@ DEFAULT_MISSING_TOKEN = "?"
 CSV_BLOCK_ROWS = 4096  # records decoded at a time by load_csv
 _INT32_IDS = 2 ** 31   # token ids below this fit int32
 _INTP_MAX = np.iinfo(np.intp).max  # the most cells a count table can index
+# Families of at most this many cells are counted from per-state bitsets,
+# larger ones by np.bincount: past 40 cells the bitsets stop being faster
+# at 5,000 rows, and at 64 the joint bitsets alone, 64 * ceil(m / 64)
+# words, would match the m x 8-byte intp key np.bincount copies.
+BITSET_MAX_CELLS = 40
+# Set bits of every 16-bit value, for _popcount_by_table.
+_BITS8 = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+_BITS16 = (_BITS8[:, None] + _BITS8).ravel()
 # (largest value, type) of each narrow width, for index_dtype.  A width
 # must cast safely to intp, as bincount and fancy indexing read intp.
 _WIDTHS = [(np.iinfo(t).max, np.dtype(t)) for t in (np.uint8, np.uint16,
@@ -47,13 +55,17 @@ class Dataset:
     ``rows`` is stored column-major in ``index_dtype`` of the largest
     cardinality (uint8 for up to 256 states).  Other input is checked to
     be whole numbers in range before it is narrowed; input already in
-    that width and column-major is kept without a copy.
+    that width and column-major is kept without a copy.  The rows must
+    not change after construction: counts derived from them are kept.
     """
 
     variable_names: list
     cardinalities: list
     rows: np.ndarray
     state_labels: list = field(default=None)
+    # Variable -> its per-state bitsets, made on first use by _state_bits.
+    _bits: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         self.cardinalities, self.state_labels = _checked_labels(
@@ -314,10 +326,17 @@ class ContingencyTable:
 
 def count_statistics(dataset, y, parents):
     """Exact joint counts of variable y against a parent set, given in any
-    order.  The table is dense, so a family whose q * r_y cells cannot be
-    indexed or allocated raises DataError.
+    order.  A family of at most BITSET_MAX_CELLS cells is counted from
+    per-state bitsets, a larger one by np.bincount over the
+    configuration key.  A node index that is not an integer (a bool,
+    float or str) raises GraphError.  The table is dense, so a family
+    whose q * r_y cells cannot be indexed or allocated raises DataError.
     """
-    parents = sorted(parents)
+    parents = list(parents)
+    for v in (y, *parents):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise GraphError(f"node index {v!r} is not an integer")
+    parents.sort()
     if y in parents:
         raise GraphError("child cannot be its own parent")
     if len(set(parents)) != len(parents):
@@ -331,8 +350,20 @@ def count_statistics(dataset, y, parents):
     r = cardinalities[y]
     q = math.prod(map(cardinalities.__getitem__, parents))
     cells = q * r
+    family = [*parents, y]
+    if cells <= BITSET_MAX_CELLS:
+        # The rows of each state combination, parents first and the child
+        # last, so the table has the mixed-radix layout of the key below.
+        # A one-state variable selects every row and is left out; every
+        # other one has two states or more (or none, leaving no row), so
+        # the last two arrays hold at most 1.5 * cells bitsets.
+        members = [v for v in family if cardinalities[v] != 1] or family[:1]
+        joint = _state_bits(dataset, members[0])
+        for v in members[1:]:
+            joint = joint[..., None, :] & _state_bits(dataset, v)
+        return ContingencyTable(_set_bits(joint).reshape(q, r), r, q)
     if cells <= _INTP_MAX:
-        j = parent_configs(dataset.rows, [*parents, y], cardinalities, cells)
+        j = parent_configs(dataset.rows, family, cardinalities, cells)
         try:
             return ContingencyTable(
                 np.bincount(j, minlength=cells).reshape(q, r), r, q)
@@ -340,6 +371,45 @@ def count_statistics(dataset, y, parents):
             pass
     raise DataError(f"family of {dataset.variable_names[y]} is too wide to "
                     f"count: q * r = {cells} cells")
+
+
+def _state_bits(dataset, v):
+    """(r_v, ceil(m / 64)) uint64 bitsets of variable v: row i of the data
+    sets one fixed bit of word i // 64 in the bitset of its state, and
+    padding bits are clear.  Made on first use and kept on the dataset."""
+    bits = dataset._bits.get(v)
+    if bits is None:
+        col = dataset.rows[:, v]
+        m = len(col)
+        packed = np.zeros((dataset.cardinalities[v], -(-m // 64) * 8),
+                          np.uint8)
+        for k, row in enumerate(packed):
+            row[:-(-m // 8)] = np.packbits(col == k, bitorder="little")
+        bits = dataset._bits[v] = packed.view(np.uint64)
+    return bits
+
+
+def _set_bits(words):
+    """Set bits of each row of C-contiguous uint64 ``words``, summed over
+    the last axis, as intp."""
+    # uint32 sums are about twice as fast as 64-bit ones, and a row of
+    # fewer than 2**26 words has fewer than 2**32 bits.
+    dtype = np.uint32 if words.shape[-1] < 2 ** 26 else np.uint64
+    return np.add.reduce(_popcount(words), axis=-1,
+                         dtype=dtype).astype(np.intp)
+
+
+def _popcount_by_table(words):
+    """Set bits of each 16-bit quarter of C-contiguous uint64 ``words``,
+    by a 65,536-entry table: the popcount where numpy < 2 has no
+    np.bitwise_count.  A row's quarter counts sum to its set bits.  They
+    take half the words' bytes, where a byte table's would take as many
+    and push a count's peak past m x 8 bytes.  Indexing casts the
+    indices to intp in small buffers; ``take`` would copy them whole."""
+    return _BITS16[words.view(np.uint16)]
+
+
+_popcount = getattr(np, "bitwise_count", _popcount_by_table)
 
 
 def sample(net, m, seed):

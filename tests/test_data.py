@@ -394,6 +394,130 @@ class TestCounting:
                         assert np.array_equal(table, ref)
 
 
+def per_row_counts(rows, y, parents, cards):
+    """Family counts by a Python loop over the rows, parents in ascending
+    order with the first most significant."""
+    parents = sorted(parents)
+    table = [[0] * cards[y] for _ in range(math.prod(cards[p]
+                                                     for p in parents))]
+    for row in rows.tolist():
+        j = 0
+        for p in parents:
+            j = j * cards[p] + row[p]
+        table[j][row[y]] += 1
+    return table
+
+
+class TestCountingKernels:
+    """The bitset kernel (tables of at most BITSET_MAX_CELLS cells) and
+    the bincount kernel give the same exact counts."""
+
+    @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 5000])
+    def test_kernels_equal_per_row_count(self, monkeypatch, m):
+        rng = np.random.default_rng(m)
+        # One state, up to five, and 300, which makes the rows uint16.
+        # Without rows a variable may have no state.
+        cards = [1, 2, 3, 2, 4, 5, 300] + ([0] if m == 0 else [])
+        rows = np.column_stack([rng.integers(r, size=m) for r in cards[:7]]
+                               + ([np.zeros(0, int)] if m == 0 else []))
+        ds = Dataset([f"v{i}" for i in range(len(cards))], cards, rows)
+        assert ds.rows.dtype == np.uint16
+        for _ in range(40 if m == 5000 else 80):
+            family = rng.permutation(len(cards))[:rng.integers(1, 5)]
+            if math.prod(cards[v] for v in family) > 5000:
+                continue
+            y, parents = int(family[0]), [int(v) for v in family[1:]]
+            ref = per_row_counts(ds.rows, y, parents, cards)
+            # The limit set so that one kernel, then the other, counts.
+            for limit in (0, 10 ** 6):
+                monkeypatch.setattr(data, "BITSET_MAX_CELLS", limit)
+                table = count_statistics(ds, y, parents).counts
+                assert table.dtype == np.intp
+                assert table.tolist() == ref, (limit, y, parents)
+
+    def test_cell_limit(self):
+        # Exactly BITSET_MAX_CELLS cells take the bitsets; one more cell,
+        # the child's extra state, does not.
+        limit = data.BITSET_MAX_CELLS
+        rng = np.random.default_rng(limit)
+        cards = [2, limit // 2, limit + 1]
+        rows = np.column_stack([rng.integers(r, size=200) for r in cards])
+        ds = Dataset(["a", "b", "c"], cards, rows)
+        assert count_statistics(ds, 1, [0]).counts.tolist() == \
+            per_row_counts(ds.rows, 1, [0], cards)
+        assert set(ds._bits) == {0, 1}
+        assert count_statistics(ds, 2, []).counts.tolist() == \
+            per_row_counts(ds.rows, 2, [], cards)
+        assert set(ds._bits) == {0, 1}
+
+    def test_popcount_fallback(self, monkeypatch):
+        # The table numpy < 2 counts with, against np.bitwise_count where
+        # numpy has it and against Python's own count always.
+        rng = np.random.default_rng(64)
+        full = np.iinfo(np.uint64).max
+        for words in (rng.integers(0, full, (5, 7), np.uint64, True),
+                      np.zeros((2, 3), np.uint64),
+                      np.full((3, 2), full, np.uint64)):
+            per_word = data._popcount_by_table(words).reshape(
+                *words.shape, 4).sum(axis=-1)
+            assert per_word.tolist() == [[bin(w).count("1") for w in row]
+                                         for row in words.tolist()]
+            if hasattr(np, "bitwise_count"):
+                assert np.array_equal(per_word, np.bitwise_count(words))
+        # And through a count.
+        ds = sample(random_network(6, seed=6), 1000, seed=6)
+        want = count_statistics(ds, 0, [1, 2]).counts
+        monkeypatch.setattr(data, "_popcount", data._popcount_by_table)
+        assert np.array_equal(count_statistics(ds, 0, [1, 2]).counts, want)
+
+    def test_bitsets_made_on_first_count_only(self, tmp_path):
+        net = random_network(8, seed=8)
+        ds = sample(net, 500, seed=8)
+        assert ds._bits == {}
+        save_csv(ds, tmp_path / "d.csv")
+        loaded = load_csv(tmp_path / "d.csv")
+        assert ds._bits == {} and loaded._bits == {}
+        assert Dataset(ds.variable_names, ds.cardinalities, ds.rows)._bits \
+            == {}
+        count_statistics(ds, 3, [5, 1])
+        assert set(ds._bits) == {1, 3, 5}
+        # A table past the limit is counted without bitsets.
+        wide = list(range(1, 7))
+        assert math.prod(ds.cardinalities[v] for v in [0, *wide]) > \
+            data.BITSET_MAX_CELLS
+        count_statistics(ds, 0, wide)
+        assert set(ds._bits) == {1, 3, 5}
+
+    @pytest.mark.parametrize("by_table", [False, True])
+    def test_bitset_count_memory(self, monkeypatch, by_table):
+        # At the limit, with two states in the last variable that splits
+        # rows and so the largest next-to-last array, a count allocates no
+        # more than the m x 8-byte intp key the bincount kernel copies,
+        # and the bincount kernel more; also with numpy < 2's popcount.
+        # The one-state child splits no rows.  The dataset keeps the
+        # bitsets, as it keeps its rows, so they are made before the
+        # measurement.
+        if by_table:
+            monkeypatch.setattr(data, "_popcount", data._popcount_by_table)
+        m = 200_000
+        limit = data.BITSET_MAX_CELLS
+        cards = [2, limit // 4, 2, 1]
+        rng = np.random.default_rng(m)
+        ds = Dataset(["a", "b", "c", "d"], cards, np.column_stack(
+            [rng.integers(r, size=m) for r in cards]))
+        count_statistics(ds, 3, [0, 1, 2])
+        peaks = []
+        for kernel_limit in (limit, 0):
+            monkeypatch.setattr(data, "BITSET_MAX_CELLS", kernel_limit)
+            tracemalloc.start()
+            try:
+                count_statistics(ds, 3, [0, 1, 2])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= m * 8 <= peaks[1], peaks
+
+
 class TestSample:
     def test_degenerate_cpt(self):
         g = PartialDag(1)

@@ -64,6 +64,24 @@ class TestCountStatistics:
         with pytest.raises(GraphError, match=f"node index {bad} out of range"):
             count_statistics(ds, y, parents)
 
+    @pytest.mark.parametrize("y, parents, bad", [
+        (0, (True,), True), (False, [1], False), (1.0, [], 1.0),
+        (0, [1.0], 1.0), ("0", [], "0"), (0, ["1"], "1"),
+        (0, [np.True_], np.True_)])
+    def test_node_not_an_integer(self, y, parents, bad):
+        # Refused before either kernel runs: the bitset kernel would read
+        # True as node 1.
+        ds = dataset_from([2, 2], [[0, 1]])
+        with pytest.raises(GraphError, match=re.escape(
+                f"node index {bad!r} is not an integer")):
+            count_statistics(ds, y, parents)
+
+    def test_numpy_int_nodes(self):
+        ds = dataset_from([2, 3], [[0, 1], [1, 2], [1, 1]])
+        assert count_statistics(ds, np.int64(1), [np.int32(0)]).counts \
+            .tolist() == count_statistics(ds, 1, [0]).counts.tolist() \
+            == [[0, 1, 0], [0, 1, 1]]
+
     @pytest.mark.parametrize("n", [42, 66])
     def test_family_too_wide_to_count(self, n):
         # Binary child with n - 1 binary parents: 2**42 cells (32 TiB) cannot
