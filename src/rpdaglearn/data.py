@@ -31,11 +31,10 @@ _INTP_MAX = np.iinfo(np.intp).max  # the most cells a count table can index
 # Families of at most this many cells are counted from per-state bitsets,
 # larger ones by np.bincount: past 40 cells the bitsets stop being faster
 # at 5,000 rows, and at 64 the joint bitsets alone, 64 * ceil(m / 64)
-# words, would match the m x 8-byte intp key np.bincount copies.
-BITSET_MAX_CELLS = 40
-# Set bits of every 16-bit value, for _popcount_by_table.
-_BITS8 = np.array([bin(b).count("1") for b in range(256)], np.uint8)
-_BITS16 = (_BITS8[:, None] + _BITS8).ravel()
+# words, would match the m x 8-byte intp key np.bincount copies.  Without
+# np.bitwise_count (numpy < 2) every family takes np.bincount, as no
+# other popcount measured faster than it.
+BITSET_MAX_CELLS = 40 if hasattr(np, "bitwise_count") else 0
 # (largest value, type) of each narrow width, for index_dtype.  A width
 # must cast safely to intp, as bincount and fancy indexing read intp.
 _WIDTHS = [(np.iinfo(t).max, np.dtype(t)) for t in (np.uint8, np.uint16,
@@ -351,12 +350,12 @@ def count_statistics(dataset, y, parents):
     q = math.prod(map(cardinalities.__getitem__, parents))
     cells = q * r
     family = [*parents, y]
-    if cells <= BITSET_MAX_CELLS:
+    if 0 < cells <= BITSET_MAX_CELLS:
         # The rows of each state combination, parents first and the child
         # last, so the table has the mixed-radix layout of the key below.
         # A one-state variable selects every row and is left out; every
-        # other one has two states or more (or none, leaving no row), so
-        # the last two arrays hold at most 1.5 * cells bitsets.
+        # other one has two states or more, so the last two arrays hold at
+        # most 1.5 * cells bitsets.
         members = [v for v in family if cardinalities[v] != 1] or family[:1]
         joint = _state_bits(dataset, members[0])
         for v in members[1:]:
@@ -395,21 +394,8 @@ def _set_bits(words):
     # uint32 sums are about twice as fast as 64-bit ones, and a row of
     # fewer than 2**26 words has fewer than 2**32 bits.
     dtype = np.uint32 if words.shape[-1] < 2 ** 26 else np.uint64
-    return np.add.reduce(_popcount(words), axis=-1,
+    return np.add.reduce(np.bitwise_count(words), axis=-1,
                          dtype=dtype).astype(np.intp)
-
-
-def _popcount_by_table(words):
-    """Set bits of each 16-bit quarter of C-contiguous uint64 ``words``,
-    by a 65,536-entry table: the popcount where numpy < 2 has no
-    np.bitwise_count.  A row's quarter counts sum to its set bits.  They
-    take half the words' bytes, where a byte table's would take as many
-    and push a count's peak past m x 8 bytes.  Indexing casts the
-    indices to intp in small buffers; ``take`` would copy them whole."""
-    return _BITS16[words.view(np.uint16)]
-
-
-_popcount = getattr(np, "bitwise_count", _popcount_by_table)
 
 
 def sample(net, m, seed):

@@ -408,6 +408,13 @@ def per_row_counts(rows, y, parents, cards):
     return table
 
 
+# The bitset kernel needs np.bitwise_count (numpy >= 2); without it
+# BITSET_MAX_CELLS is 0 and every family takes the bincount kernel.
+HAS_POPCOUNT = hasattr(np, "bitwise_count")
+needs_popcount = pytest.mark.skipif(not HAS_POPCOUNT,
+                                    reason="numpy has no bitwise_count")
+
+
 class TestCountingKernels:
     """The bitset kernel (tables of at most BITSET_MAX_CELLS cells) and
     the bincount kernel give the same exact counts."""
@@ -429,12 +436,13 @@ class TestCountingKernels:
             y, parents = int(family[0]), [int(v) for v in family[1:]]
             ref = per_row_counts(ds.rows, y, parents, cards)
             # The limit set so that one kernel, then the other, counts.
-            for limit in (0, 10 ** 6):
+            for limit in (0, 10 ** 6) if HAS_POPCOUNT else (0,):
                 monkeypatch.setattr(data, "BITSET_MAX_CELLS", limit)
                 table = count_statistics(ds, y, parents).counts
                 assert table.dtype == np.intp
                 assert table.tolist() == ref, (limit, y, parents)
 
+    @needs_popcount
     def test_cell_limit(self):
         # Exactly BITSET_MAX_CELLS cells take the bitsets; one more cell,
         # the child's extra state, does not.
@@ -450,26 +458,6 @@ class TestCountingKernels:
             per_row_counts(ds.rows, 2, [], cards)
         assert set(ds._bits) == {0, 1}
 
-    def test_popcount_fallback(self, monkeypatch):
-        # The table numpy < 2 counts with, against np.bitwise_count where
-        # numpy has it and against Python's own count always.
-        rng = np.random.default_rng(64)
-        full = np.iinfo(np.uint64).max
-        for words in (rng.integers(0, full, (5, 7), np.uint64, True),
-                      np.zeros((2, 3), np.uint64),
-                      np.full((3, 2), full, np.uint64)):
-            per_word = data._popcount_by_table(words).reshape(
-                *words.shape, 4).sum(axis=-1)
-            assert per_word.tolist() == [[bin(w).count("1") for w in row]
-                                         for row in words.tolist()]
-            if hasattr(np, "bitwise_count"):
-                assert np.array_equal(per_word, np.bitwise_count(words))
-        # And through a count.
-        ds = sample(random_network(6, seed=6), 1000, seed=6)
-        want = count_statistics(ds, 0, [1, 2]).counts
-        monkeypatch.setattr(data, "_popcount", data._popcount_by_table)
-        assert np.array_equal(count_statistics(ds, 0, [1, 2]).counts, want)
-
     def test_bitsets_made_on_first_count_only(self, tmp_path):
         net = random_network(8, seed=8)
         ds = sample(net, 500, seed=8)
@@ -480,25 +468,30 @@ class TestCountingKernels:
         assert Dataset(ds.variable_names, ds.cardinalities, ds.rows)._bits \
             == {}
         count_statistics(ds, 3, [5, 1])
-        assert set(ds._bits) == {1, 3, 5}
+        read = {1, 3, 5} if HAS_POPCOUNT else set()
+        assert set(ds._bits) == read
         # A table past the limit is counted without bitsets.
         wide = list(range(1, 7))
         assert math.prod(ds.cardinalities[v] for v in [0, *wide]) > \
             data.BITSET_MAX_CELLS
         count_statistics(ds, 0, wide)
-        assert set(ds._bits) == {1, 3, 5}
+        assert set(ds._bits) == read
 
-    @pytest.mark.parametrize("by_table", [False, True])
-    def test_bitset_count_memory(self, monkeypatch, by_table):
+    def test_empty_table_makes_no_bitsets(self):
+        # A zero-state variable leaves no cell: the table is empty at once,
+        # and no bitset is made for the other member's states.
+        ds = Dataset(["a", "b"], [0, 10 ** 7], np.zeros((0, 2)))
+        table = count_statistics(ds, 1, [0])
+        assert table.counts.shape == (0, 10 ** 7) and ds._bits == {}
+
+    @needs_popcount
+    def test_bitset_count_memory(self, monkeypatch):
         # At the limit, with two states in the last variable that splits
         # rows and so the largest next-to-last array, a count allocates no
         # more than the m x 8-byte intp key the bincount kernel copies,
-        # and the bincount kernel more; also with numpy < 2's popcount.
-        # The one-state child splits no rows.  The dataset keeps the
-        # bitsets, as it keeps its rows, so they are made before the
-        # measurement.
-        if by_table:
-            monkeypatch.setattr(data, "_popcount", data._popcount_by_table)
+        # and the bincount kernel more.  The one-state child splits no
+        # rows.  The dataset keeps the bitsets, as it keeps its rows, so
+        # they are made before the measurement.
         m = 200_000
         limit = data.BITSET_MAX_CELLS
         cards = [2, limit // 4, 2, 1]
