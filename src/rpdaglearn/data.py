@@ -437,7 +437,8 @@ def fit_parameters(structure, dataset, smoothing=1.0):
     With smoothing = s > 0 each cell gets the posterior-mean estimate
     (N_jk + s/(r*q)) / (N_j + s/q); s = 0 gives maximum likelihood with a
     uniform row wherever a parent configuration never occurs.  A negative
-    or non-finite s raises ValueError.
+    or non-finite s raises ValueError, and a variable with no states (read
+    from a header-only CSV) DataError.
     """
     if not (math.isfinite(smoothing) and smoothing >= 0):
         raise ValueError(f"smoothing must be finite and non-negative, "
@@ -446,6 +447,10 @@ def fit_parameters(structure, dataset, smoothing=1.0):
         raise DataError("fit_parameters requires a DAG")
     if structure.node_count != dataset.n:
         raise DataError("structure/dataset arity mismatch")
+    for name, r in zip(dataset.variable_names, dataset.cardinalities):
+        if r == 0:
+            raise DataError(f"variable {name} has no states: a table row "
+                            f"over 0 states cannot sum to 1")
     cpts = []
     for y in range(dataset.n):
         counts = count_statistics(dataset, y, structure.pa(y)).counts

@@ -69,15 +69,24 @@ def _bdeu(counts, ess, prior):
 def bic_local(table, m):
     """BIC family score: maximized log likelihood minus (ln m / 2) times
     the family's free parameter count.  Empty data scores 0."""
+    return float(_bic(table.counts[None], m)[0])
+
+
+def _bic(counts, m):
+    """BIC scores, as :func:`bic_local` defines them, of k families of one
+    table shape from their stacked (k, q, r) counts, on m rows."""
+    k, q, r = counts.shape
     if m == 0:
-        return 0.0
-    counts = table.counts
-    nj = np.broadcast_to(table.marginals[:, None], counts.shape)
+        return np.zeros(k)
     nonzero = counts > 0
-    loglik = float(np.sum(counts[nonzero]
-                          * np.log(counts[nonzero] / nj[nonzero])))
-    penalty = 0.5 * math.log(m) * (table.r_child - 1) * table.q
-    return loglik - penalty
+    njk = counts[nonzero]
+    nj = np.broadcast_to(counts.sum(2)[..., None], counts.shape)[nonzero]
+    terms = njk * np.log(njk / nj)
+    # Each family's terms are summed on their own, so its score is the
+    # one its table alone gives, bit for bit.
+    ends = np.cumsum(nonzero.sum((1, 2)))[:-1]
+    loglik = [part.sum() for part in np.split(terms, ends)]
+    return np.array(loglik) - 0.5 * math.log(m) * (r - 1) * q
 
 
 @dataclass
@@ -124,17 +133,13 @@ class Scorer:
         """Count each family of ``keys``, distinct cache keys none of which
         is stored, and store their scores once all are scored.
 
-        BDeu scores the tables it holds in one pass per table shape, and
-        does so before it would hold more cells than the data has rows:
-        the held tables then take no more memory than the intp copy of
-        the row keys that each count makes.  BIC scores each table alone.
+        BDeu and BIC alike score the tables held in one pass per table
+        shape, and do so before they would hold more cells than the data
+        has rows: the held tables then take no more memory than the
+        m x 8-byte intp key copy that the bincount kernel makes for a
+        large table (a bitset count's temporaries stay under that size).
         """
         dataset = self.dataset
-        if self.score == "bic":
-            self.cache.store.update({
-                key: bic_local(count_statistics(dataset, *key), dataset.m)
-                for key in keys})
-            return
         scores, held, cells = {}, {}, 0   # held: shape -> keys, counts
         for key in keys:
             counts = count_statistics(dataset, *key).counts
@@ -150,7 +155,9 @@ class Scorer:
 
     def _score_held(self, held, scores):
         for keys, tables in held.values():
-            values = _bdeu(np.stack(tables), self.ess, self.prior)
+            counts = np.stack(tables)
+            values = (_bic(counts, self.dataset.m) if self.score == "bic"
+                      else _bdeu(counts, self.ess, self.prior))
             scores.update(zip(keys, values.tolist()))
 
     def precompute(self, families):

@@ -159,6 +159,48 @@ def bdeu_sequential_oracle(dataset, y, parents, ess):
     return logp
 
 
+def exact_optimum(scorer):
+    """The best score of any DAG on the scorer's data, and one DAG that
+    has it, from every family's local score (2^(n-1) per node).
+
+    The best-parent-set recursion of Koivisto & Sood (JMLR 2004) finds
+    each node's best parents within every candidate set, and the
+    best-order recursion of Silander & Myllymaki (UAI 2006) the best
+    network on every node set from its best sink.  Sets are bitmasks over
+    the nodes, so every subset of a set is met before the set itself.
+    """
+    n = scorer.dataset.n
+    sets = range(1 << n)
+
+    def members(mask):
+        return [v for v in range(n) if mask >> v & 1]
+
+    scorer.precompute((y, members(c)) for y in range(n) for c in sets
+                      if not c >> y & 1)
+    # best[y][c]: (score, parent mask) of y's best parents within c.
+    best = [[None] * len(sets) for _ in range(n)]
+    for y in range(n):
+        for c in sets:
+            if not c >> y & 1:
+                best[y][c] = max(
+                    [(scorer.local(y, members(c)), c)]
+                    + [best[y][c & ~(1 << v)] for v in members(c)],
+                    key=lambda pair: pair[0])
+    # total[w]: best score of a network on the nodes w; sink[w]: its sink.
+    total, sink = [0.0] * len(sets), [None] * len(sets)
+    for w in sets[1:]:
+        total[w], sink[w] = max(
+            ((total[w & ~(1 << y)] + best[y][w & ~(1 << y)][0], y)
+             for y in members(w)), key=lambda pair: pair[0])
+    dag, w = PartialDag(n), sets[-1]
+    while w:
+        y = sink[w]
+        w &= ~(1 << y)
+        for x in members(best[y][w][1]):
+            dag.add_arc(x, y)
+    return total[-1], dag
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230815)

@@ -587,6 +587,15 @@ class TestFitParameters:
         with pytest.raises(DataError, match=message):
             fit_parameters(structure, ds)
 
+    @pytest.mark.parametrize("smoothing", [1.0, 0.0])
+    def test_zero_state_variable_refused(self, tmp_path, smoothing):
+        # A header-only CSV loads each variable with no states; the first
+        # one is named.
+        ds = load_csv(write(tmp_path / "d.csv", "a,b\n"))
+        assert ds.cardinalities == [0, 0]
+        with pytest.raises(DataError, match="variable a has no states"):
+            fit_parameters(PartialDag(2), ds, smoothing=smoothing)
+
     @pytest.mark.parametrize("smoothing", [float("nan"), -1.0,
                                            float("inf")])
     def test_bad_smoothing_refused(self, smoothing):

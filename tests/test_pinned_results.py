@@ -1,10 +1,11 @@
 """Pinned search results: the learned graph, the move trace with its
-deltas and the best score of all four space x strategy pairs must not
-change when the search is made faster.
+deltas and the best score of all four space x strategy pairs, under BDeu
+and under BIC, must not change when the search is made faster.
 
-The expected values in ``pinned_results.json`` were recorded before the
-operator deltas were cached across iterations.  Regenerate them, only for
-an intended change of results, with
+The BDeu entries of ``pinned_results.json`` were recorded before the
+operator deltas were cached across iterations, and the BIC entries
+("gold8-bic", "random12-bic") before BIC was scored in batches.
+Regenerate them, only for an intended change of results, with
 
     PYTHONPATH=src python tests/test_pinned_results.py
 """
@@ -25,6 +26,9 @@ from rpdaglearn.search import (dag_greedy_search, dag_tabu_search,
 EXPECTED = Path(__file__).with_name("pinned_results.json")
 SEARCHES = {"rpdag-greedy": greedy_search, "rpdag-tabu": tabu_search,
             "dag-greedy": dag_greedy_search, "dag-tabu": dag_tabu_search}
+# Entry name -> (dataset, score); BDeu entries are named by dataset alone.
+CASES = {"gold8": ("gold8", "bdeu"), "random12": ("random12", "bdeu"),
+         "gold8-bic": ("gold8", "bic"), "random12-bic": ("random12", "bic")}
 
 
 def datasets():
@@ -33,8 +37,8 @@ def datasets():
             "random12": sample(random_network(12, seed=12), 3000, seed=12)}
 
 
-def result(dataset, search):
-    graph, report = SEARCHES[search](dataset, Scorer(dataset))
+def result(dataset, search, score):
+    graph, report = SEARCHES[search](dataset, Scorer(dataset, score))
     return {"arcs": sorted(graph.arcs()), "links": sorted(graph.links()),
             "moves": [[op.kind, op.x, op.y, op.z, d]
                       for op, d in report.trace],
@@ -44,8 +48,10 @@ def result(dataset, search):
 
 
 def record():
-    return {name: {search: result(ds, search) for search in SEARCHES}
-            for name, ds in datasets().items()}
+    data = datasets()
+    return {case: {search: result(data[name], search, score)
+                   for search in SEARCHES}
+            for case, (name, score) in CASES.items()}
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +60,12 @@ def data():
 
 
 @pytest.mark.parametrize("search", sorted(SEARCHES))
-@pytest.mark.parametrize("name", ["gold8", "random12"])
-def test_result_pinned(data, name, search):
-    expected = json.loads(EXPECTED.read_text())[name][search]
+@pytest.mark.parametrize("case", list(CASES))
+def test_result_pinned(data, case, search):
+    expected = json.loads(EXPECTED.read_text())[case][search]
+    name, score = CASES[case]
     # JSON turns tuples into lists; compare through one round trip.
-    got = json.loads(json.dumps(result(data[name], search)))
+    got = json.loads(json.dumps(result(data[name], search, score)))
     assert got["moves"] == expected["moves"]
     assert got == expected
 

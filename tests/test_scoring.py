@@ -207,16 +207,52 @@ def bdeu_one_table(table, ess, prior):
     return value
 
 
-def record_batches(monkeypatch):
-    """Make the BDeu kernel record the (k, q, r) shape of each batch."""
-    kernel, shapes = scoring._bdeu, []
+def bic_one_table(table, m):
+    """BIC of one table, summed as the per-family path did before BIC
+    was scored in batches; the batched sums must equal it bit for bit."""
+    if m == 0:
+        return 0.0
+    counts = table.counts
+    nj = np.broadcast_to(table.marginals[:, None], counts.shape)
+    nonzero = counts > 0
+    loglik = float(np.sum(counts[nonzero]
+                          * np.log(counts[nonzero] / nj[nonzero])))
+    penalty = 0.5 * math.log(m) * (table.r_child - 1) * table.q
+    return loglik - penalty
 
-    def recorded(counts, ess, prior):
-        shapes.append(counts.shape)
-        return kernel(counts, ess, prior)
 
-    monkeypatch.setattr(scoring, "_bdeu", recorded)
-    return shapes
+def record_batches(monkeypatch, kernel="_bdeu"):
+    """Make a score kernel record the (k, q, r) counts of each batch."""
+    score, batches = getattr(scoring, kernel), []
+
+    def recorded(counts, *args):
+        batches.append(counts)
+        return score(counts, *args)
+
+    monkeypatch.setattr(scoring, kernel, recorded)
+    return batches
+
+
+def family_subsets(n, max_parents):
+    return [(y, parents) for y in range(n) for k in range(max_parents + 1)
+            for parents in itertools.combinations(
+                [v for v in range(n) if v != y], k)]
+
+
+def check_memory_bound_flushes(monkeypatch, rng, score):
+    # 20 rows: the held tables are scored whenever their cells would
+    # pass 20, so each shape is scored in several batches.
+    ds = random_dataset(6, 20, rng, max_card=4)
+    families = family_subsets(6, 2)
+    batches = record_batches(monkeypatch, f"_{score}")
+    batched = Scorer(ds, score)
+    batched.precompute(families)
+    shapes = [counts.shape for counts in batches]
+    assert all(k * q * r <= 20 or k == 1 for k, q, r in shapes)
+    assert len(shapes) > len({(q, r) for _, q, r in shapes})
+    one_at_a_time = Scorer(ds, score)
+    assert batched.cache.store == {
+        key: one_at_a_time.local(*key) for key in batched.cache.store}
 
 
 class TestBatchedBdeu:
@@ -227,14 +263,13 @@ class TestBatchedBdeu:
         # cells, past numpy's 128-element pairwise blocks, in batches that
         # mix shapes.
         ds = random_dataset(7, 3000, rng, max_card=5)
-        families = [(y, parents) for y in range(7) for k in range(4)
-                    for parents in itertools.combinations(
-                        [v for v in range(7) if v != y], k)]
-        shapes = record_batches(monkeypatch)
+        families = family_subsets(7, 3)
+        batches = record_batches(monkeypatch)
         scorer = Scorer(ds, "bdeu", ess, prior)
         scorer.precompute(families)
         assert len(scorer.cache.store) == len(families)
-        assert max(q * r for k, q, r in shapes if k > 1) > 128
+        assert max(q * r for k, q, r in (c.shape for c in batches)
+                   if k > 1) > 128
         for (y, parents), value in scorer.cache.store.items():
             table = count_statistics(ds, y, parents)
             expected = bdeu_one_table(table, ess, prior)
@@ -242,20 +277,7 @@ class TestBatchedBdeu:
             assert bdeu_local(table, ess, prior) == expected
 
     def test_memory_bound_flushes_mid_batch(self, monkeypatch, rng):
-        # 20 rows: the held tables are scored whenever their cells would
-        # pass 20, so each shape is scored in several batches.
-        ds = random_dataset(6, 20, rng, max_card=4)
-        families = [(y, parents) for y in range(6) for k in range(3)
-                    for parents in itertools.combinations(
-                        [v for v in range(6) if v != y], k)]
-        shapes = record_batches(monkeypatch)
-        batched = Scorer(ds)
-        batched.precompute(families)
-        assert all(k * q * r <= 20 or k == 1 for k, q, r in shapes)
-        assert len(shapes) > len({(q, r) for _, q, r in shapes})
-        one_at_a_time = Scorer(ds)
-        assert batched.cache.store == {
-            key: one_at_a_time.local(*key) for key in batched.cache.store}
+        check_memory_bound_flushes(monkeypatch, rng, "bdeu")
 
     def test_empty_data(self):
         ds = dataset_from([0, 2, 3], np.zeros((0, 3)))
@@ -279,6 +301,43 @@ class TestBatchedBdeu:
         with pytest.raises(ValueError, match=re.escape(message)):
             scorer.precompute([(0, ()), (0, (1,)), (2, (0, 1)), (1, (2,))])
         assert scorer.cache.store == {}
+
+
+class TestBatchedBic:
+    @pytest.mark.parametrize("m", [0, 1, 40, 3000])
+    def test_bit_identical_to_one_table(self, monkeypatch, rng, m):
+        # Up to three parents of up to five states: tables of 2 to 625
+        # cells in batches that mix shapes; at 3,000 rows some table in
+        # a batch of several has more nonzero cells than numpy's
+        # 128-element pairwise blocks.  The memory bound scores each
+        # table alone at m <= 1, so the kernel is also given every table
+        # of a shape at once.
+        ds = random_dataset(7, m, rng, max_card=5)
+        families = family_subsets(7, 3)
+        batches = record_batches(monkeypatch, "_bic")
+        scorer = Scorer(ds, "bic")
+        scorer.precompute(families)
+        assert len(scorer.cache.store) == len(families)
+        assert len({c.shape for c in batches}) > 1
+        if m > 1:
+            assert any(len(c) > 1 for c in batches)
+        if m == 3000:
+            assert max(np.count_nonzero(table) for c in batches
+                       if len(c) > 1 for table in c) > 128
+        by_shape = {}
+        for (y, parents), value in scorer.cache.store.items():
+            table = count_statistics(ds, y, parents)
+            expected = bic_one_table(table, m)
+            assert value == expected
+            assert bic_local(table, m) == expected
+            by_shape.setdefault(table.counts.shape, []).append(
+                (table.counts, expected))
+        for group in by_shape.values():
+            tables, expected = zip(*group)
+            assert scoring._bic(np.stack(tables), m).tolist() == list(expected)
+
+    def test_memory_bound_flushes_mid_batch(self, monkeypatch, rng):
+        check_memory_bound_flushes(monkeypatch, rng, "bic")
 
 
 class TestBicLocal:
