@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import GraphError, PartialDag
+from .graph import GraphError, PartialDag, check_node
 
 CPT_ROW_TOL = 1e-9
 DEFAULT_MISSING_TOKEN = "?"
@@ -327,24 +327,17 @@ def count_statistics(dataset, y, parents):
     """Exact joint counts of variable y against a parent set, given in any
     order.  A family of at most BITSET_MAX_CELLS cells is counted from
     per-state bitsets, a larger one by np.bincount over the
-    configuration key.  A node index that is not an integer (a bool,
-    float or str) raises GraphError.  The table is dense, so a family
-    whose q * r_y cells cannot be indexed or allocated raises DataError.
-    """
+    configuration key.  Members must pass :func:`check_node`; a child among
+    its parents or a repeated parent raises GraphError, and a family whose
+    dense q * r_y table cannot be indexed or allocated raises DataError."""
     parents = list(parents)
     for v in (y, *parents):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise GraphError(f"node index {v!r} is not an integer")
+        check_node(v, dataset.n)
     parents.sort()
     if y in parents:
         raise GraphError("child cannot be its own parent")
     if len(set(parents)) != len(parents):
         raise GraphError("a parent is named twice")
-    n = dataset.n
-    # The parents are sorted, so their two ends bound the rest.
-    for v in (y, parents[0], parents[-1]) if parents else (y,):
-        if not 0 <= v < n:
-            raise GraphError(f"node index {v} out of range")
     cardinalities = dataset.cardinalities
     r = cardinalities[y]
     q = math.prod(map(cardinalities.__getitem__, parents))

@@ -22,6 +22,19 @@ class GraphError(Exception):
     """Structural precondition violated (bad node, duplicate edge, ...)."""
 
 
+def _check_integer(v, what):
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise GraphError(f"{what} {v!r} is not an integer")
+
+
+def check_node(v, n):
+    """The node rule: v is an int or numpy integer, not bool, in [0, n)."""
+    if type(v) is not int:   # the common case skips a call
+        _check_integer(v, "node index")
+    if not 0 <= v < n:
+        raise GraphError(f"node index {v} out of range [0, {n})")
+
+
 class PartialDag:
     """Mixed graph of arcs x->y and links x-y over nodes 0..n-1.
 
@@ -31,6 +44,7 @@ class PartialDag:
     """
 
     def __init__(self, node_count):
+        _check_integer(node_count, "node_count")
         if node_count < 0:
             raise GraphError("node_count must be non-negative")
         self.node_count = node_count
@@ -69,9 +83,9 @@ class PartialDag:
 
     # -- basic queries ---------------------------------------------------
 
-    def _check_node(self, y):
-        if not 0 <= y < self.node_count:
-            raise GraphError(f"node index {y} out of range [0, {self.node_count})")
+    def _check_node(self, *nodes):
+        for y in nodes:
+            check_node(y, self.node_count)
 
     def pa(self, y):
         self._check_node(y)
@@ -86,8 +100,7 @@ class PartialDag:
         return self._ne[y]
 
     def is_adjacent(self, x, y):
-        self._check_node(x)
-        self._check_node(y)
+        self._check_node(x, y)
         return y in self._pa[x] or y in self._ch[x] or y in self._ne[x]
 
     def arcs(self):
@@ -210,8 +223,7 @@ class PartialDag:
 
     def undirected_reachable(self, x, y):
         """True iff a links-only path joins x and y (the UC test)."""
-        self._check_node(x)
-        self._check_node(y)
+        self._check_node(x, y)
         return any(x in comp and y in comp
                    for comp in self.chain_components())
 
@@ -222,8 +234,7 @@ class PartialDag:
         ``skip_link`` names one link (as an unordered pair) to ignore,
         used when a link is about to be redirected by an operator.
         """
-        self._check_node(x)
-        self._check_node(y)
+        self._check_node(x, y)
         return x == y or x in self.semi_directed_reach(y, skip_link)
 
     def semi_directed_reach(self, y, skip_link=None):

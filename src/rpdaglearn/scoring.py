@@ -25,10 +25,20 @@ PRIOR_IDS = ("uniform", "param-penalty")
 PARAM_PENALTY_LOG = math.log(0.001)
 
 
-def _check_ess(ess):
+def _check_bdeu(ess, prior):
+    if prior not in PRIOR_IDS:
+        raise ValueError(f"unknown prior {prior!r}")
     # A NaN ess would make every BDeu delta NaN, and greedy never stop.
     if not (math.isfinite(ess) and ess > 0):
         raise ValueError(f"ess must be finite and positive, got {ess}")
+
+
+def _check_size(h, dataset):
+    # Scoring sums over h's nodes, so a smaller h would score a part of
+    # the data and a larger one would fail at its first missing variable.
+    if h.node_count != dataset.n:
+        raise GraphError(f"structure has {h.node_count} nodes but the data "
+                         f"has {dataset.n} variables")
 
 
 def bdeu_local(table, ess, prior="uniform"):
@@ -37,9 +47,7 @@ def bdeu_local(table, ess, prior="uniform"):
     log structure-prior contribution of this family.  A family with no
     child states or no parent configurations (only possible on empty
     data) has no rows and no parameters, and scores 0."""
-    _check_ess(ess)
-    if prior not in PRIOR_IDS:
-        raise ValueError(f"unknown prior {prior!r}")
+    _check_bdeu(ess, prior)
     return float(_bdeu(table.counts[None], ess, prior)[0])
 
 
@@ -120,9 +128,7 @@ class Scorer:
     def __init__(self, dataset, score="bdeu", ess=1.0, prior="uniform"):
         if score not in SCORE_IDS:
             raise ValueError(f"unknown score {score!r}")
-        if prior not in PRIOR_IDS:
-            raise ValueError(f"unknown prior {prior!r}")
-        _check_ess(ess)
+        _check_bdeu(ess, prior)
         self.dataset = dataset
         self.score = score
         self.ess = ess
@@ -180,6 +186,7 @@ class Scorer:
         return value
 
     def score_dag(self, h):
+        _check_size(h, self.dataset)
         if not h.is_dag():
             raise GraphError("score_dag requires a DAG")
         families = [(y, h.pa(y)) for y in range(h.node_count)]
@@ -208,6 +215,7 @@ def kl_fit_term(h, dataset):
     """Fit term of the Kullback-Leibler transformation: the sum of the
     empirical mutual information between each parented node and its
     parents.  Higher means better fit; the empty graph scores 0."""
+    _check_size(h, dataset)
     if not h.is_dag():
         h = h.extend()
     return sum((mutual_information(dataset, y, h.pa(y))

@@ -83,8 +83,7 @@ class SearchReport:
 def is_applicable(g, op):
     """True iff op is a move of g's restricted-PDAG neighbourhood, a link
     move named (y, x) counting as (x, y).  GraphError for a node outside g."""
-    for v in {op.x, op.y, op.z} - {None}:
-        g._check_node(v)
+    g._check_node(*(op.x, op.y, op.z)[:2 if op.z is None else 3])
     if op.kind in ("A_link", "D_link") and op.x > op.y:
         op = MoveOperator(op.kind, op.y, op.x)
     return op in enumerate_neighborhood(g)
@@ -231,8 +230,7 @@ def _directed_reachable(g, src, dst, skip_arc=None):
 def dag_is_applicable(g, op):
     """True iff op is a move of g's DAG neighbourhood.  GraphError for a
     node outside g."""
-    for v in {op.x, op.y, op.z} - {None}:
-        g._check_node(v)
+    g._check_node(*(op.x, op.y, op.z)[:2 if op.z is None else 3])
     return op in dag_enumerate_neighborhood(g)
 
 

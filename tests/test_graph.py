@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,11 +8,56 @@ from conftest import (extension_by_definition, is_extension, random_dag,
                       random_rpdag)
 from rpdaglearn.census import (census, enumerate_dags, group_by_rpdag_key,
                                rpdag_key)
+from rpdaglearn.data import Dataset, count_statistics
 from rpdaglearn.graph import GraphError, PartialDag
+from rpdaglearn.scoring import Scorer
+from rpdaglearn.search import MoveOperator, dag_is_applicable, is_applicable
 
 
 def g_from(n, arcs=(), links=()):
     return PartialDag.from_edges(n, arcs, links)
+
+
+# Entry points that take a node index, each fed one bad value v on a
+# 3-node graph or a 3-variable dataset.
+NODE_ENTRY_POINTS = {
+    "add_arc": lambda g, ds, v: g.add_arc(v, 0),
+    "add_link": lambda g, ds, v: g.add_link(0, v),
+    "pa": lambda g, ds, v: g.pa(v),
+    "is_adjacent": lambda g, ds, v: g.is_adjacent(0, v),
+    "from_edges": lambda g, ds, v: PartialDag.from_edges(3, links=[(v, 0)]),
+    "is_applicable": lambda g, ds, v: is_applicable(
+        g, MoveOperator("A_arc", v, 0)),
+    "dag_is_applicable": lambda g, ds, v: dag_is_applicable(
+        g, MoveOperator("A_arc", 0, v)),
+    "count_statistics": lambda g, ds, v: count_statistics(ds, 0, [v, 1]),
+    "Scorer.local": lambda g, ds, v: Scorer(ds).local(v, []),
+}
+
+
+class TestNodeRule:
+    @pytest.mark.parametrize("entry", NODE_ENTRY_POINTS)
+    @pytest.mark.parametrize("v, message", [
+        (True, "node index True is not an integer"),
+        (1.0, "node index 1.0 is not an integer"),
+        (np.float64(1), f"node index {np.float64(1)!r} is not an integer"),
+        ("1", "node index '1' is not an integer"),
+        (None, "node index None is not an integer"),
+        (-1, "node index -1 out of range [0, 3)"),
+        (3, "node index 3 out of range [0, 3)"),
+    ], ids=["bool", "float", "np.float64", "str", "None", "-1", "n"])
+    def test_same_refusal_everywhere(self, entry, v, message):
+        g = g_from(3, links=[(1, 2)])
+        ds = Dataset(["a", "b", "c"], [2, 2, 2], np.zeros((4, 3), np.int64))
+        with pytest.raises(GraphError) as refused:
+            NODE_ENTRY_POINTS[entry](g, ds, v)
+        assert str(refused.value) == message
+        assert g == g_from(3, links=[(1, 2)])
+
+    @pytest.mark.parametrize("v", [0, 2, np.int64(2), np.uint8(1)])
+    def test_integers_in_range_accepted(self, v):
+        g = g_from(3)
+        assert g.pa(v) == set() and not g.is_adjacent(v, (v + 1) % 3)
 
 
 class TestIsDag:
@@ -68,6 +114,12 @@ class TestRefusals:
         with pytest.raises(GraphError, match=message):
             getattr(g, call[0])(*call[1:])
         assert g == before
+
+    @pytest.mark.parametrize("count", [2.5, True, np.float64(2), "2", None])
+    def test_node_count_not_an_integer(self, count):
+        with pytest.raises(GraphError, match=re.escape(
+                f"node_count {count!r} is not an integer")):
+            PartialDag(count)
 
     def test_census_past_its_limit(self):
         with pytest.raises(GraphError, match="census limited to n <= 5"):

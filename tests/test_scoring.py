@@ -399,6 +399,23 @@ class TestScoreEquivalence:
                 scorer.score_dag(g.extend()), abs=1e-12)
 
 
+class TestStructureSize:
+    @pytest.mark.parametrize("nodes", [3, 7])
+    def test_structure_of_other_size_refused(self, rng, nodes):
+        # Too few nodes would score only some of the variables, too many
+        # would fail at the first variable the data lacks.
+        ds = random_dataset(5, 40, rng)
+        g = PartialDag.from_edges(nodes, links=[(0, 1), (1, 2)])
+        scorer = Scorer(ds)
+        message = f"structure has {nodes} nodes but the data has 5 variables"
+        for score, h in ((scorer.score_dag, g.extend()),
+                         (scorer.score_rpdag, g),
+                         (lambda h: kl_fit_term(h, ds), g)):
+            with pytest.raises(GraphError, match=message):
+                score(h)
+        assert scorer.cache.store == {}
+
+
 class TestCache:
     def test_hit_vs_miss_counting(self, rng):
         ds = random_dataset(3, 30, rng)
