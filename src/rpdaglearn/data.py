@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import io
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from .graph import GraphError, PartialDag, check_node
 
 CPT_ROW_TOL = 1e-9
 DEFAULT_MISSING_TOKEN = "?"
-CSV_BLOCK_ROWS = 4096  # records decoded at a time by load_csv
+CSV_BLOCK_ROWS = 4096  # records per block in load_csv and save_csv
 _INT32_IDS = 2 ** 31   # token ids below this fit int32
 _INTP_MAX = np.iinfo(np.intp).max  # the most cells a count table can index
 # Families of at most this many cells are counted from per-state bitsets,
@@ -226,13 +227,41 @@ def _ragged_record(path, n):
 
 
 def save_csv(dataset, path):
-    cols = [list(map(alphabet.__getitem__, col))
-            for alphabet, col in zip(dataset.state_labels,
-                                     dataset.rows.T.tolist())]
+    """Write ``dataset`` to ``path`` as CSV: a header of variable names,
+    then one record of state labels per row.
+
+    Each state label is quoted once, by ``csv.writer`` itself, and rows are
+    streamed CSV_BLOCK_ROWS at a time, each block written as one string,
+    so memory holds one block whatever m is.  The bytes equal those of a
+    ``csv.writer`` writing the rows one by one.
+    """
+    fields = [_csv_fields(labels, dataset.n)
+              for labels in dataset.state_labels]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.variable_names)
-        writer.writerows(zip(*cols))
+        csv.writer(fh).writerow(dataset.variable_names)
+        # No variables: the header alone, as records of no fields would
+        # be blank lines.
+        for start in range(0, dataset.m if dataset.n else 0, CSV_BLOCK_ROWS):
+            block = dataset.rows[start:start + CSV_BLOCK_ROWS]
+            cols = [f[col] for f, col in zip(fields, block.T)]
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+
+
+def _csv_fields(labels, n):
+    """Object array of ``labels`` as ``csv.writer`` writes them in a
+    record of n fields.  A lone empty field is written as '""', an empty
+    field among others as nothing."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    # The end of a record with a second, empty field after the label.
+    pad, end = ([""], ",\r\n") if n > 1 else ([], "\r\n")
+    fields = np.empty(len(labels), object)
+    for k, label in enumerate(labels):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([label, *pad])
+        fields[k] = buf.getvalue().removesuffix(end)
+    return fields
 
 
 @dataclass
@@ -394,8 +423,11 @@ def _set_bits(words):
 def sample(net, m, seed):
     """Draw m rows by forward sampling in a topological order.
 
-    Fully determined by the seed; repeated calls with the same arguments
-    produce identical datasets.
+    Each variable takes one ``rng.random(m)`` draw u per row; its state is
+    the number of the row's cumulative CPT bounds that u exceeds, clamped
+    to the last state.  The bounds are compared one state at a time, so
+    memory per state is O(m).  Fully determined by the seed; repeated
+    calls with the same arguments produce identical datasets.
     """
     if net.cpts is None:
         raise DataError("sampling requires conditional probability tables")
@@ -417,8 +449,10 @@ def sample(net, m, seed):
         j = parent_configs(rows, net.parents(y), net.cardinalities,
                            len(table))
         u = rng.random(m)
-        cum = np.cumsum(table, axis=1)
-        drawn = (u[:, None] > cum[j]).sum(axis=1)
+        # intp, as a 256-state variable counts to 256.
+        drawn = np.zeros(m, np.intp)
+        for bound in np.cumsum(table, axis=1).T:
+            drawn += u > bound[j]
         rows[:, y] = np.minimum(drawn, net.cardinalities[y] - 1)
     return Dataset(list(net.variable_names), list(net.cardinalities), rows,
                    [list(a) for a in net.state_labels])

@@ -1,14 +1,16 @@
 import csv
 import functools
+import hashlib
 import itertools
 import math
 import sys
 import tracemalloc
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from conftest import random_network
+from conftest import random_dag, random_network
 from rpdaglearn import data
 from rpdaglearn.data import (CSV_BLOCK_ROWS, BayesNet, DataError, Dataset,
                              count_statistics, fit_parameters, load_csv,
@@ -79,6 +81,42 @@ def save_csv_oracle(dataset, path):
         for row in dataset.rows:
             writer.writerow([dataset.state_labels[i][row[i]]
                              for i in range(dataset.n)])
+
+
+def sample_oracle(net, m, seed):
+    """The sampler that sample replaced, kept as the reference: each row's
+    uniform draw compared with all of its cumulative bounds at once, as an
+    m x r matrix."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((m, len(net.cardinalities)), np.int64)
+    for y in net.structure.topological_order():
+        table = net.cpts[y]
+        j = parent_configs(rows, net.parents(y), net.cardinalities,
+                           len(table))
+        u = rng.random(m)
+        cum = np.cumsum(table, axis=1)
+        drawn = (u[:, None] > cum[j]).sum(axis=1)
+        rows[:, y] = np.minimum(drawn, net.cardinalities[y] - 1)
+    return rows
+
+
+def awkward_network(seed, n=6):
+    """Random net with one-state variables, one 256-state variable,
+    zero-probability states and rows scaled a hair under 1."""
+    rng = np.random.default_rng(seed)
+    g = random_dag(n, rng)
+    cards = [int(rng.integers(1, 4)) for _ in range(n)]
+    cards[int(rng.integers(n))] = 256
+    cpts = []
+    for y in range(n):
+        q = math.prod(cards[x] for x in sorted(g.pa(y)))
+        table = rng.dirichlet(np.ones(cards[y]), size=q)
+        table[rng.random(table.shape) < 0.3] = 0.0
+        table[np.arange(q), rng.integers(cards[y], size=q)] += 0.01
+        table /= table.sum(axis=1, keepdims=True)
+        table[rng.random(q) < 0.5] *= 1 - 1e-10
+        cpts.append(table)
+    return BayesNet([f"v{i}" for i in range(n)], cards, g, cpts)
 
 
 # Tokens csv must quote (commas, quotes, newlines), non-ASCII ones, padding
@@ -227,24 +265,65 @@ class TestLoadCsv:
 
 
 class TestSaveCsv:
-    @pytest.mark.parametrize("m", [0, 1, 200])
+    @pytest.mark.parametrize("m", [0, 1, 200, CSV_BLOCK_ROWS - 1,
+                                   CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                   2 * CSV_BLOCK_ROWS + 1])
     def test_bytes_equal_per_row_writer(self, tmp_path, m):
         rng = np.random.default_rng(m)
-        labels = [["?", "a,b", 'q"uote'], ["x\ny", "", "\u00e9t\u00e9", "?"],
-                  ["0"], ["plain", "with space "]]
-        rows = np.column_stack([rng.integers(len(a), size=m) for a in labels])
-        ds = Dataset(["c,1", 'c"2', "c\n3", "c4"],
-                     [len(a) for a in labels], rows, labels)
-        save_csv(ds, tmp_path / "new.csv")
-        save_csv_oracle(ds, tmp_path / "old.csv")
-        new = (tmp_path / "new.csv").read_bytes()
-        assert new == (tmp_path / "old.csv").read_bytes()
-        back = load_csv(tmp_path / "new.csv")
-        assert back.variable_names == ds.variable_names
-        assert ([[back.state_labels[i][k] for k in back.rows[:, i]]
-                 for i in range(ds.n)]
-                == [[ds.state_labels[i][k] for k in ds.rows[:, i]]
-                    for i in range(ds.n)])
+        for names, labels in [
+                (["c,1", 'c"2', "c\n3", "c4"],
+                 [["?", "a,b", 'q"uote'], ["x\ny", "", "\u00e9t\u00e9", "?"],
+                  ["0"], ["plain", "with space "]]),
+                # A lone empty field is written '""', unlike one among
+                # others.
+                (["c"], [["", "a", "x,y"]])]:
+            rows = np.column_stack([rng.integers(len(a), size=m)
+                                    for a in labels])
+            ds = Dataset(names, [len(a) for a in labels], rows, labels)
+            save_csv(ds, tmp_path / "new.csv")
+            save_csv_oracle(ds, tmp_path / "old.csv")
+            new = (tmp_path / "new.csv").read_bytes()
+            assert new == (tmp_path / "old.csv").read_bytes()
+            back = load_csv(tmp_path / "new.csv")
+            assert back.variable_names == ds.variable_names
+            assert ([[back.state_labels[i][k] for k in back.rows[:, i]]
+                     for i in range(ds.n)]
+                    == [[ds.state_labels[i][k] for k in ds.rows[:, i]]
+                        for i in range(ds.n)])
+
+    def test_no_variables_written_as_header_alone(self, tmp_path):
+        # Records of no fields would be blank lines.
+        save_csv(Dataset([], [], np.zeros((5, 0))), tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == b"\r\n"
+
+    def test_peak_memory(self, tmp_path):
+        # Derived bound, for one block of B rows whatever m is: n object
+        # pointers a row for the gathered columns, and each record three
+        # times over (its str, the block's str and the block's encoded
+        # bytes) plus a list slot while the block is joined.
+        m, n = 50000, 4
+        ds = Dataset([f"v{i}" for i in range(n)], [3] * n,
+                     np.random.default_rng(0).integers(3, size=(m, n)))
+        tracemalloc.start()
+        try:
+            save_csv(ds, tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = ",".join(["0"] * n)
+        bound = CSV_BLOCK_ROWS * (8 * n + sys.getsizeof(record) + 8
+                                  + 2 * len(record + "\r\n"))
+        assert peak <= bound, (peak, bound)
+
+    def test_gold8_sample_bytes_pinned(self, tmp_path):
+        # The bundled gold network's seed-1 sample, as the installed
+        # console script is also checked to write it: a change to sample,
+        # parent_configs or save_csv that alters the data shows here.
+        net = load_network(str(files("rpdaglearn") / "nets" / "gold8.json"))
+        save_csv(sample(net, 2000, seed=1), tmp_path / "d.csv")
+        assert (hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest()
+                == "a2a4dc3c13ae20f2b221bb7648f8c7866d1ebc9e20977923b5911d34"
+                   "31556d5d")
 
 
 class TestColumnMajor:
@@ -535,6 +614,25 @@ class TestSample:
         with pytest.raises(ValueError, match="seed must be non-negative, "
                                              "not -1"):
             sample(small_net(), 5, seed=-1)
+
+    @pytest.mark.parametrize("m", [0, 1, 1000, 20000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_oracle(self, m, seed):
+        net = awkward_network(seed)
+        assert np.array_equal(sample(net, m, seed).rows,
+                              sample_oracle(net, m, seed))
+
+    def test_clamped_to_last_state(self):
+        # Rows of half the mass, past what BayesNet accepts, so that u
+        # passes the last bound in about half the rows: they must take the
+        # last state, 255, which has no mass of its own (a count of 256
+        # kept in the rows' uint8 would wrap to state 0).
+        net = BayesNet(["y"], [256], PartialDag(1),
+                       [np.full((1, 256), 1 / 256)])
+        net.cpts[0] = np.append(np.full(255, 0.5 / 255), 0.0)[None, :]
+        rows = sample(net, 1000, seed=2).rows
+        assert np.array_equal(rows, sample_oracle(net, 1000, seed=2))
+        assert 400 < np.count_nonzero(rows == 255) < 600
 
     def test_empirical_joint_converges(self):
         # 3-node chain; total variation against the exact joint.
