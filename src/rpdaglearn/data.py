@@ -11,6 +11,7 @@ conditional probability tables.
 
 from __future__ import annotations
 
+import codecs
 import collections
 import csv
 import io
@@ -26,7 +27,8 @@ from .graph import GraphError, PartialDag, check_node
 
 CPT_ROW_TOL = 1e-9
 DEFAULT_MISSING_TOKEN = "?"
-CSV_BLOCK_ROWS = 4096  # records per block in load_csv and save_csv
+CSV_BLOCK_ROWS = 4096  # records per block in save_csv and load_csv's csv path
+CSV_BLOCK_BYTES = 2 ** 15   # bytes per block on load_csv's byte path
 _INT32_IDS = 2 ** 31   # token ids below this fit int32
 _INTP_MAX = np.iinfo(np.intp).max  # the most cells a count table can index
 # Families of at most this many cells are counted from per-state bitsets,
@@ -148,17 +150,24 @@ def load_csv(path, missing_token=DEFAULT_MISSING_TOKEN):
     """Load a comma-separated file with a header row into a Dataset.
 
     Each column's alphabet is its set of distinct tokens, sorted; the
-    missing token becomes an ordinary extra state, placed last.
+    missing token becomes an ordinary extra state, placed last.  A plain
+    file (see :func:`_byte_token_ids`) is decoded as bytes; any other file
+    is read again from its start by ``csv.reader``, which also gives the
+    message for a malformed one.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header, blocks, tokens = _token_ids(reader, path)
-            except csv.Error as exc:
-                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 ({exc})") from None
+    parsed = _byte_token_ids(path)
+    if parsed is None:
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                reader = csv.reader(fh)
+                try:
+                    parsed = _token_ids(reader, path)
+                except csv.Error as exc:
+                    raise DataError(f"{path}:{reader.line_num}: "
+                                    f"{exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 ({exc})") from None
+    header, blocks, tokens = parsed
 
     def ids(i):
         """Token ids of column i; only one column is copied at a time."""
@@ -224,6 +233,160 @@ def _ragged_record(path, n):
                 return (f"{path}:{reader.line_num}: expected {n} fields, "
                         f"got {len(row)}")
     return f"{path}: changed while it was read"
+
+
+def _byte_token_ids(path):
+    """What :func:`_token_ids` returns, but with each block's ids in the
+    narrowest width that holds them, for a plain file decoded as bytes;
+    None for any other file.
+
+    A plain file is UTF-8, a leading byte-order mark dropped, with LF or
+    CRLF line ends.  It has no '"', NUL, bare CR or blank line, a header
+    of unique names within the csv field limit, records of as many fields
+    as the header, and data tokens of at most 8 bytes.  It is read
+    CSV_BLOCK_BYTES at a time, each block cut after its last line end.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline().removeprefix(codecs.BOM_UTF8)
+        try:
+            text = line.decode()
+        except UnicodeDecodeError:
+            return None
+        text = text.removesuffix("\n").removesuffix("\r")
+        header = text.split(",")
+        limit = csv.field_size_limit()
+        if (not text or any(c in text for c in '"\0\r')
+                or len(set(header)) != len(header)
+                or max(map(len, header)) > limit):
+            return None
+        n, longest = len(header), min(8, limit)
+        decoder = _ByteDecoder(n, longest)
+        rest = b""
+        while data := fh.read(CSV_BLOCK_BYTES):
+            data = rest + data
+            cut = data.rfind(b"\n") + 1
+            rest = data[cut:]
+            # A plain record has at most n * (longest + 1) bytes before
+            # its LF, so a longer tail is never read whole.
+            if len(rest) > n * (longest + 1) or not decoder.add(data[:cut]):
+                return None
+        if rest and not decoder.add(rest + b"\n"):
+            return None
+    return header, decoder.blocks, decoder.tokens
+
+
+class _ByteDecoder:
+    """File-wide token ids of the blocks of a plain CSV file, found from
+    each block's bytes with numpy.
+
+    A token's code is its bytes packed little-endian and zero-padded into
+    one unsigned integer; NUL is excluded, so distinct tokens have
+    distinct codes.  Codes of at most two bytes map to ids through a
+    dense 2**16-entry table, wider ones through the sorted array of the
+    wider codes seen so far.  A token is decoded to str once, when its
+    code is first seen.
+    """
+
+    def __init__(self, n, longest):
+        self.n, self.longest = n, longest
+        self.blocks, self.tokens = [], []
+        self.table = np.full(2 ** 16, -1, np.intp)
+        # Codes of 3 bytes or more, sorted, then one above them all: 0xff
+        # is never UTF-8.
+        self.known = np.array([2 ** 64 - 1], np.uint64)
+        self.known_ids = np.array([-1], np.intp)
+
+    def add(self, buf):
+        """Append the (k, n) ids of ``buf``, k whole lines each ending in
+        LF; False, appending nothing, if it is not plain."""
+        if not buf:
+            return True
+        if not buf.isascii():
+            try:
+                buf.decode()
+            except UnicodeDecodeError:
+                return False
+        if b'"' in buf or b"\0" in buf:
+            return False
+        n = self.n
+        a = np.frombuffer(buf, np.uint8)
+        ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+        # With k LFs and k * n ends, every n-th of them an LF, each record
+        # has n fields.
+        if (len(ends) != buf.count(b"\n") * n
+                or not np.all(a[ends[n - 1::n]] == ord("\n"))):
+            return False
+        lens = np.empty(len(ends), np.int32)
+        lens[0] = ends[0]
+        np.subtract(ends[1:], ends[:-1], out=lens[1:])
+        lens[1:] -= 1
+        # A CR is allowed only before an LF, and is not part of the token.
+        crs = a[ends[n - 1::n] - 1] == ord("\r")
+        if np.count_nonzero(crs) != buf.count(b"\r"):
+            return False
+        starts = np.subtract(ends, lens, out=ends)
+        lens[n - 1::n] -= crs
+        longest = lens.max()
+        # With n = 1 an empty token is a blank line, which csv.reader
+        # reads as a record of no fields.
+        if longest > self.longest or (n == 1 and lens.min() == 0):
+            return False
+        width = 2 if longest <= 2 else 4 if longest <= 4 else 8
+        dtype = np.dtype(f"<u{width}")
+        # The width bytes at every offset of buf, zero-padded at its end,
+        # copied to aligned memory: an unaligned gather is far slower.
+        window = np.ndarray(len(buf), dtype, buf + bytes(width - 1),
+                            strides=(1,)).copy()
+        codes = np.take(window, starts)
+        codes &= np.take(np.array([(1 << 8 * k) - 1
+                                   for k in range(width + 1)], dtype), lens)
+        del a, ends, starts, lens, window
+        # Column-major, so each column of the block is read contiguously.
+        codes = codes.reshape(-1, n).T.copy()
+        if width == 2:
+            ids = self._short_ids(codes)
+        else:
+            ids = np.empty(codes.shape, np.intp)
+            short = codes < 2 ** 16
+            ids[short] = self._short_ids(codes[short].astype(np.uint16))
+            ids[~short] = self._wide_ids(codes[~short])
+        # One byte a cell while the file has at most 256 distinct tokens.
+        self.blocks.append(ids.astype(index_dtype(len(self.tokens))).T)
+        return True
+
+    def _short_ids(self, codes):
+        """Ids of uint16 ``codes``, through the dense table."""
+        # np.take, as fancy indexing by a non-intp index is slower.
+        ids = np.take(self.table, codes)
+        if (ids < 0).any():
+            # Sorted by bincount, which counting runs anyway: a sort here
+            # would add its code pages to the resident set.
+            new = np.flatnonzero(np.bincount(codes[ids < 0]))
+            self.table[new] = self._new(new)
+            ids = np.take(self.table, codes)
+        return ids
+
+    def _wide_ids(self, codes):
+        """Ids of codes of 3 bytes or more, through the sorted array."""
+        pos = np.searchsorted(self.known, codes)
+        seen = self.known[pos] == codes
+        if not seen.all():
+            new = np.unique(codes[~seen]).astype(np.uint64)
+            known = np.concatenate([self.known, new])
+            order = np.argsort(known, kind="stable")
+            self.known = known[order]
+            self.known_ids = np.concatenate([self.known_ids,
+                                             self._new(new)])[order]
+            pos = np.searchsorted(self.known, codes)
+        return self.known_ids[pos]
+
+    def _new(self, codes):
+        """Ids of ``codes``, unique and not seen before, in order; their
+        tokens are appended."""
+        first = len(self.tokens)
+        self.tokens += [int(c).to_bytes(8, "little").rstrip(b"\0").decode()
+                        for c in codes.tolist()]
+        return np.arange(first, len(self.tokens))
 
 
 def save_csv(dataset, path):
@@ -452,7 +615,8 @@ def sample(net, m, seed):
         # intp, as a 256-state variable counts to 256.
         drawn = np.zeros(m, np.intp)
         for bound in np.cumsum(table, axis=1).T:
-            drawn += u > bound[j]
+            # One configuration (a root): j is all 0, so skip the gather.
+            drawn += u > (bound[0] if len(bound) == 1 else bound[j])
         rows[:, y] = np.minimum(drawn, net.cardinalities[y] - 1)
     return Dataset(list(net.variable_names), list(net.cardinalities), rows,
                    [list(a) for a in net.state_labels])

@@ -18,7 +18,7 @@ from scipy.special import gammaln
 # Counted in data; read through this module's globals, which
 # bench/tracer.py patches as scoring.count_statistics.
 from .data import count_statistics
-from .graph import GraphError
+from .graph import GraphError, check_node
 
 SCORE_IDS = ("bdeu", "bic")
 PRIOR_IDS = ("uniform", "param-penalty")
@@ -177,6 +177,8 @@ class Scorer:
             self._compute(missing)
 
     def local(self, y, parents):
+        if type(y) is not int:   # True or 1.0 would find node 1's score
+            check_node(y, self.dataset.n)
         key = (y, tuple(sorted(parents)))
         value = self.cache.store.get(key)
         if value is None:

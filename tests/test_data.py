@@ -12,10 +12,10 @@ import pytest
 
 from conftest import random_dag, random_network
 from rpdaglearn import data
-from rpdaglearn.data import (CSV_BLOCK_ROWS, BayesNet, DataError, Dataset,
-                             count_statistics, fit_parameters, load_csv,
-                             load_network, parent_configs, sample, save_csv,
-                             save_network)
+from rpdaglearn.data import (CSV_BLOCK_BYTES, CSV_BLOCK_ROWS, BayesNet,
+                             DataError, Dataset, count_statistics,
+                             fit_parameters, load_csv, load_network,
+                             parent_configs, sample, save_csv, save_network)
 from rpdaglearn.graph import PartialDag
 
 
@@ -35,7 +35,7 @@ def load_csv_oracle(path, missing_token="?"):
     """The per-cell decoder that load_csv replaced, kept as the reference:
     header, alphabets and rows, in the narrowest width for the largest
     alphabet."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         raw = list(reader)
@@ -230,7 +230,7 @@ class TestLoadCsv:
     def test_ids_widen_past_int32(self, tmp_path, monkeypatch):
         # With the int32 limit lowered to one block of distinct tokens,
         # the first block's ids just fit int32 and every later block's
-        # are int64.
+        # are int64.  Quoted fields keep the file on the csv.reader path.
         monkeypatch.setattr(data, "_INT32_IDS", CSV_BLOCK_ROWS)
         dtypes, fromiter = [], np.fromiter
 
@@ -240,7 +240,8 @@ class TestLoadCsv:
 
         monkeypatch.setattr(np, "fromiter", spy)
         cells = np.arange(2 * CSV_BLOCK_ROWS + 1).astype(str)[:, None]
-        assert_decodes_like_oracle(tmp_path / "d.csv", ["a"], cells, "?")
+        assert_decodes_like_oracle(tmp_path / "d.csv", ["a"], cells, "?",
+                                   csv.QUOTE_ALL)
         assert dtypes == [np.int32, np.int64, np.int64]
 
     def test_peak_memory(self, tmp_path):
@@ -262,6 +263,143 @@ class TestLoadCsv:
         bound = (cells * (4 + ds.rows.itemsize) + 2 * 8 * ds.m
                  + CSV_BLOCK_ROWS * sys.getsizeof([None] * n))
         assert peak <= bound, (peak / cells, bound / cells)
+
+
+# Tokens of 0 to 8 UTF-8 bytes with no '"', NUL, CR, LF or comma, which
+# the byte path decodes.  "\x85" and "\u2028" end a line for
+# str.splitlines but not for csv.reader; a BOM is kept inside a file.
+BYTE_TOKENS = ["", "a", "b", "?", "10", "9", " pad", "x y z", "NA",
+               "\u00fc", "\u65e5\u672c", "\u00e9t\u00e9", "\x85", "\u2028",
+               "\ufeffb", "1234567", "abcdefgh"]
+
+
+def load_outcome(path, missing="?"):
+    """What load_csv gives for ``path``: its dataset's parts, or the
+    message of the DataError it raises."""
+    try:
+        ds = load_csv(path, missing)
+    except DataError as exc:
+        return str(exc)
+    return (ds.variable_names, ds.state_labels, ds.rows.dtype,
+            ds.rows.tolist())
+
+
+class TestBytePath:
+    """A plain file is decoded as bytes by data._byte_token_ids; any other
+    is read again from its start by csv.reader.  Either way load_csv gives
+    what load_csv_oracle gives, or csv.reader's error."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_equals_oracle(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        # Blocks down to one byte, so records straddle block ends and
+        # outgrow whole blocks; at the real size, files of a few blocks.
+        block = [1, 7, 64, CSV_BLOCK_BYTES][seed % 4]
+        monkeypatch.setattr(data, "CSV_BLOCK_BYTES", block)
+        n = [1, 2, 5][seed % 3]
+        m = int(rng.integers(0, 20000 if block == CSV_BLOCK_BYTES else 300))
+        # With n = 1 an empty field would be a blank line.
+        tokens = BYTE_TOKENS[n == 1:]
+        cells = rng.choice(tokens, size=(m, n))
+        if n > 1 and seed % 5 == 0:
+            cells[:, -1] = ""   # every record ends in a comma
+        kind = int(rng.integers(3))   # LF, CRLF or mixed line ends
+        eols = (rng.choice(["\n", "\r\n"], size=m + 1) if kind == 2
+                else [["\n", "\r\n"][kind]] * (m + 1))
+        names = [f"v{i}" for i in range(n)]
+        lines = [",".join(names)] + [",".join(row) for row in cells.tolist()]
+        text = "".join(line + eol for line, eol in zip(lines, eols))
+        if rng.random() < 0.5:
+            text = text.removesuffix(eols[-1])
+        if rng.random() < 0.5:
+            text = "\ufeff" + text
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert data._byte_token_ids(path) is not None
+        ds = load_csv(path)
+        header, labels, rows = load_csv_oracle(path)
+        assert ds.variable_names == header == names
+        assert ds.state_labels == labels
+        assert ds.rows.dtype == rows.dtype and np.array_equal(ds.rows, rows)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'a,b\n"x",y\n1,2\n', None),             # a quote
+        (b"a,b\nx\0,y\n", None),                   # NUL (refused by 3.10)
+        (b"a,b\n1,2\r3,4\n", None),               # a bare CR
+        (b"a,b\r1,2\n", None),                    # a bare CR in the header
+        (b"a\nx\ry\n", None),                      # a bare CR in a token
+        (b"a,b\nx\ry,1\n", "d.csv:2: expected 2 fields, got 1"),
+        (b"a,b\n123456789,2\n", None),            # a 9-byte token
+        (b"a\nx\n\ny\n", "d.csv:3: expected 1 fields, got 0"),   # blank
+        (b"a\r\nx\r\n\r\ny\r\n", "d.csv:3: expected 1 fields, got 0"),
+        (b"a,b\n1,2\n\n3,4\n", "d.csv:3: expected 2 fields, got 0"),
+        (b"\na,b\n1,2\n", "d.csv: header has no fields"),
+        (b"", "d.csv: empty file"),
+        (b"\xef\xbb\xbf", "d.csv: empty file"),
+        (b"a,a\n1,2\n", "d.csv: duplicate header names"),
+        (b"a,b\n\xff,1\n", "d.csv: not UTF-8"),
+        (b"\xffa,b\n1,2\n", "d.csv: not UTF-8"),
+        (b"a,b\n" + b"x" * (csv.field_size_limit() + 1) + b",1\n",
+         f"d.csv:2: field larger than field limit "
+         f"({csv.field_size_limit()})"),
+        (b"a," + b"x" * (csv.field_size_limit() + 1) + b"\n1,2\n",
+         f"d.csv:1: field larger than field limit "
+         f"({csv.field_size_limit()})"),
+        (b"a,b\n1,2\n3\n", "d.csv:3: expected 2 fields, got 1"),
+        (b"a,b\n1,2\n3,4,5\n", "d.csv:3: expected 2 fields, got 3"),
+        # A ragged record past the first byte block.
+        (b"a,b\n" + b"1,2\n" * 20000 + b"3\n",
+         "d.csv:20002: expected 2 fields, got 1"),
+        (b"a\n" + b"1," * 100 + b"1\n", "d.csv:2: expected 1 fields, got 101"),
+    ])
+    def test_other_files_read_by_csv_reader(self, tmp_path, monkeypatch, raw,
+                                            message):
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        assert data._byte_token_ids(path) is None
+        got = load_outcome(path)
+        if message is None:
+            header, labels, rows = load_csv_oracle(path)
+            assert got == (header, labels, rows.dtype, rows.tolist())
+        else:
+            assert isinstance(got, str) and got.startswith(
+                f"{path.parent}/{message}")
+        # The same as csv.reader alone gives.
+        monkeypatch.setattr(data, "_byte_token_ids", lambda path: None)
+        assert load_outcome(path) == got
+
+    def test_saved_sample_takes_byte_path(self, tmp_path, monkeypatch):
+        # A silent fall-back on every file would show here.
+        ds = sample(random_network(8, 3), 3 * CSV_BLOCK_ROWS, seed=3)
+        save_csv(ds, tmp_path / "d.csv")
+
+        def refuse(reader, path):
+            raise AssertionError("read by csv.reader")
+
+        monkeypatch.setattr(data, "_token_ids", refuse)
+        back = load_csv(tmp_path / "d.csv")
+        assert back.variable_names == ds.variable_names
+        assert back.state_labels == ds.state_labels
+        assert np.array_equal(back.rows, ds.rows)
+
+    def test_ids_widen_with_the_tokens_seen(self, tmp_path):
+        # The byte path's twin of TestLoadCsv.test_ids_widen_past_int32: a
+        # block's ids take the narrowest width that holds every id so far.
+        # 200 tokens fill the first block (uint8); then 70,000 distinct
+        # 5-byte tokens pass 256 (uint16) and 65,536 (uint32).
+        cells = [str(i % 200) for i in range(10000)]
+        cells += [f"{i:05d}" for i in range(70000)]
+        path = tmp_path / "d.csv"
+        path.write_text("a\n" + "".join(c + "\n" for c in cells))
+        blocks = data._byte_token_ids(path)[1]
+        widths = [b.dtype for b in blocks]
+        assert widths[0] == np.uint8 and widths[-1] == np.uint32
+        assert np.uint16 in widths
+        assert widths == sorted(widths, key=lambda t: t.itemsize)
+        ds = load_csv(path)
+        header, labels, rows = load_csv_oracle(path)
+        assert ds.state_labels == labels
+        assert ds.rows.dtype == rows.dtype and np.array_equal(ds.rows, rows)
 
 
 class TestSaveCsv:

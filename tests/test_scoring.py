@@ -443,6 +443,21 @@ class TestCache:
     def test_empty_cache_nvars(self):
         assert LocalScoreCache().nvars == 0.0
 
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0])
+    def test_non_integer_node_refused_on_miss_and_hit(self, bad):
+        # bad == 1 and hash(bad) == hash(1), so a stored score of node 1
+        # would otherwise be returned for it.
+        ds = dataset_from([2, 2], [[0, 1], [1, 1]])
+        scorer = Scorer(ds)
+        message = re.escape(f"node index {bad!r} is not an integer")
+        with pytest.raises(GraphError, match=message):
+            scorer.local(bad, [])   # a miss
+        scorer.local(1, [])
+        with pytest.raises(GraphError, match=message):
+            scorer.local(bad, [])   # a hit
+        assert scorer.cache.requested == 1
+        assert list(scorer.cache.store) == [(1, ())]
+
 
 def mutual_information_loop(table):
     """The double loop over (j, k) that mutual_information replaced, kept
