@@ -29,7 +29,7 @@ CPT_ROW_TOL = 1e-9
 DEFAULT_MISSING_TOKEN = "?"
 CSV_BLOCK_ROWS = 4096  # records per block in save_csv and load_csv's csv path
 CSV_BLOCK_BYTES = 2 ** 15   # bytes per block on load_csv's byte path
-_INT32_IDS = 2 ** 31   # token ids below this fit int32
+CSV_HEADER_BYTES = 2 ** 20  # longest header line the byte path reads
 _INTP_MAX = np.iinfo(np.intp).max  # the most cells a count table can index
 # Families of at most this many cells are counted from per-state bitsets,
 # larger ones by np.bincount: past 40 cells the bitsets stop being faster
@@ -172,7 +172,7 @@ def load_csv(path, missing_token=DEFAULT_MISSING_TOKEN):
     def ids(i):
         """Token ids of column i; only one column is copied at a time."""
         return np.concatenate([b[:, i] for b in blocks]
-                              or [np.empty(0, np.int32)])
+                              or [np.empty(0, np.uint8)])
 
     n = len(header)
     # Each column's alphabet, as token ids in state order.
@@ -212,14 +212,21 @@ def _token_ids(reader, path):
         if any(map(n.__ne__, map(len, block))):
             raise DataError(_ragged_record(path, n))
         size = len(block) * n
-        # Ids count up from 0, so none can exceed the cells read so far;
-        # a block that could pass int32 is stored as int64 instead.
-        dtype = np.int32 if len(token_id) + size <= _INT32_IDS else np.int64
-        blocks.append(np.fromiter(
+        # Ids count up from 0, so none can reach the tokens seen before
+        # this block plus its cells.
+        ids = np.fromiter(
             map(token_id.__getitem__, itertools.chain.from_iterable(block)),
-            dtype, size).reshape(-1, n))
+            index_dtype(len(token_id) + size), size).reshape(-1, n)
         del block   # else it is held while the next block is read
+        blocks.append(_narrow_ids(ids, token_id))
     return header, blocks, list(token_id)
+
+
+def _narrow_ids(ids, tokens):
+    """A block's token ids in the narrowest width that holds every id of
+    ``tokens`` so far, so a file of at most 256 distinct tokens keeps one
+    byte of ids a cell."""
+    return ids.astype(index_dtype(len(tokens)), copy=False)
 
 
 def _ragged_record(path, n):
@@ -236,20 +243,24 @@ def _ragged_record(path, n):
 
 
 def _byte_token_ids(path):
-    """What :func:`_token_ids` returns, but with each block's ids in the
-    narrowest width that holds them, for a plain file decoded as bytes;
+    """What :func:`_token_ids` returns for a plain file, decoded as bytes;
     None for any other file.
 
     A plain file is UTF-8, a leading byte-order mark dropped, with LF or
     CRLF line ends.  It has no '"', NUL, bare CR or blank line, a header
-    of unique names within the csv field limit, records of as many fields
-    as the header, and data tokens of at most 8 bytes.  It is read
-    CSV_BLOCK_BYTES at a time, each block cut after its last line end.
+    line of at most CSV_HEADER_BYTES bytes and unique names within the csv
+    field limit, records of as many fields as the header, and data tokens
+    of at most 2 bytes.  It is read CSV_BLOCK_BYTES at a time, each block
+    cut after its last line end.
     """
     with open(path, "rb") as fh:
-        line = fh.readline().removeprefix(codecs.BOM_UTF8)
+        # Bounded, so a file with no LF, such as one with CR line ends, is
+        # not read whole.
+        line = fh.readline(CSV_HEADER_BYTES + 1)
+        if len(line) > CSV_HEADER_BYTES:
+            return None
         try:
-            text = line.decode()
+            text = line.removeprefix(codecs.BOM_UTF8).decode()
         except UnicodeDecodeError:
             return None
         text = text.removesuffix("\n").removesuffix("\r")
@@ -259,7 +270,7 @@ def _byte_token_ids(path):
                 or len(set(header)) != len(header)
                 or max(map(len, header)) > limit):
             return None
-        n, longest = len(header), min(8, limit)
+        n, longest = len(header), min(2, limit)
         decoder = _ByteDecoder(n, longest)
         rest = b""
         while data := fh.read(CSV_BLOCK_BYTES):
@@ -279,22 +290,16 @@ class _ByteDecoder:
     """File-wide token ids of the blocks of a plain CSV file, found from
     each block's bytes with numpy.
 
-    A token's code is its bytes packed little-endian and zero-padded into
-    one unsigned integer; NUL is excluded, so distinct tokens have
-    distinct codes.  Codes of at most two bytes map to ids through a
-    dense 2**16-entry table, wider ones through the sorted array of the
-    wider codes seen so far.  A token is decoded to str once, when its
-    code is first seen.
+    A token's code is its at most two bytes packed little-endian and
+    zero-padded into a uint16; NUL is excluded, so distinct tokens have
+    distinct codes.  Codes map to ids through a dense 2**16-entry table,
+    and a token is decoded to str once, when its code is first seen.
     """
 
     def __init__(self, n, longest):
         self.n, self.longest = n, longest
         self.blocks, self.tokens = [], []
         self.table = np.full(2 ** 16, -1, np.intp)
-        # Codes of 3 bytes or more, sorted, then one above them all: 0xff
-        # is never UTF-8.
-        self.known = np.array([2 ** 64 - 1], np.uint64)
-        self.known_ids = np.array([-1], np.intp)
 
     def add(self, buf):
         """Append the (k, n) ids of ``buf``, k whole lines each ending in
@@ -326,67 +331,31 @@ class _ByteDecoder:
             return False
         starts = np.subtract(ends, lens, out=ends)
         lens[n - 1::n] -= crs
-        longest = lens.max()
         # With n = 1 an empty token is a blank line, which csv.reader
         # reads as a record of no fields.
-        if longest > self.longest or (n == 1 and lens.min() == 0):
+        if lens.max() > self.longest or (n == 1 and lens.min() == 0):
             return False
-        width = 2 if longest <= 2 else 4 if longest <= 4 else 8
-        dtype = np.dtype(f"<u{width}")
-        # The width bytes at every offset of buf, zero-padded at its end,
+        # The two bytes at every offset of buf, zero-padded at its end,
         # copied to aligned memory: an unaligned gather is far slower.
-        window = np.ndarray(len(buf), dtype, buf + bytes(width - 1),
-                            strides=(1,)).copy()
+        window = np.ndarray(len(buf), "<u2", buf + b"\0", strides=(1,)).copy()
         codes = np.take(window, starts)
-        codes &= np.take(np.array([(1 << 8 * k) - 1
-                                   for k in range(width + 1)], dtype), lens)
+        codes &= np.take(np.array([0, 0xff, 0xffff], np.uint16), lens)
         del a, ends, starts, lens, window
         # Column-major, so each column of the block is read contiguously.
         codes = codes.reshape(-1, n).T.copy()
-        if width == 2:
-            ids = self._short_ids(codes)
-        else:
-            ids = np.empty(codes.shape, np.intp)
-            short = codes < 2 ** 16
-            ids[short] = self._short_ids(codes[short].astype(np.uint16))
-            ids[~short] = self._wide_ids(codes[~short])
-        # One byte a cell while the file has at most 256 distinct tokens.
-        self.blocks.append(ids.astype(index_dtype(len(self.tokens))).T)
-        return True
-
-    def _short_ids(self, codes):
-        """Ids of uint16 ``codes``, through the dense table."""
         # np.take, as fancy indexing by a non-intp index is slower.
         ids = np.take(self.table, codes)
         if (ids < 0).any():
             # Sorted by bincount, which counting runs anyway: a sort here
             # would add its code pages to the resident set.
             new = np.flatnonzero(np.bincount(codes[ids < 0]))
-            self.table[new] = self._new(new)
+            first = len(self.tokens)
+            self.tokens += [c.to_bytes(2, "little").rstrip(b"\0").decode()
+                            for c in new.tolist()]
+            self.table[new] = np.arange(first, len(self.tokens))
             ids = np.take(self.table, codes)
-        return ids
-
-    def _wide_ids(self, codes):
-        """Ids of codes of 3 bytes or more, through the sorted array."""
-        pos = np.searchsorted(self.known, codes)
-        seen = self.known[pos] == codes
-        if not seen.all():
-            new = np.unique(codes[~seen]).astype(np.uint64)
-            known = np.concatenate([self.known, new])
-            order = np.argsort(known, kind="stable")
-            self.known = known[order]
-            self.known_ids = np.concatenate([self.known_ids,
-                                             self._new(new)])[order]
-            pos = np.searchsorted(self.known, codes)
-        return self.known_ids[pos]
-
-    def _new(self, codes):
-        """Ids of ``codes``, unique and not seen before, in order; their
-        tokens are appended."""
-        first = len(self.tokens)
-        self.tokens += [int(c).to_bytes(8, "little").rstrip(b"\0").decode()
-                        for c in codes.tolist()]
-        return np.arange(first, len(self.tokens))
+        self.blocks.append(_narrow_ids(ids, self.tokens).T)
+        return True
 
 
 def save_csv(dataset, path):

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+import string
 import sys
 import tracemalloc
 from importlib.resources import files
@@ -12,10 +13,11 @@ import pytest
 
 from conftest import random_dag, random_network
 from rpdaglearn import data
-from rpdaglearn.data import (CSV_BLOCK_BYTES, CSV_BLOCK_ROWS, BayesNet,
-                             DataError, Dataset, count_statistics,
-                             fit_parameters, load_csv, load_network,
-                             parent_configs, sample, save_csv, save_network)
+from rpdaglearn.data import (CSV_BLOCK_BYTES, CSV_BLOCK_ROWS,
+                             CSV_HEADER_BYTES, BayesNet, DataError, Dataset,
+                             count_statistics, fit_parameters, load_csv,
+                             load_network, parent_configs, sample, save_csv,
+                             save_network)
 from rpdaglearn.graph import PartialDag
 
 
@@ -228,49 +230,85 @@ class TestLoadCsv:
         assert "late" in labels[0] and labels[1][-1] == "?"
 
     def test_ids_widen_past_int32(self, tmp_path, monkeypatch):
-        # With the int32 limit lowered to one block of distinct tokens,
-        # the first block's ids just fit int32 and every later block's
-        # are int64.  Quoted fields keep the file on the csv.reader path.
-        monkeypatch.setattr(data, "_INT32_IDS", CSV_BLOCK_ROWS)
-        dtypes, fromiter = [], np.fromiter
-
-        def spy(iterable, dtype, count):
-            dtypes.append(np.dtype(dtype))
-            return fromiter(iterable, dtype, count)
-
-        monkeypatch.setattr(np, "fromiter", spy)
-        cells = np.arange(2 * CSV_BLOCK_ROWS + 1).astype(str)[:, None]
-        assert_decodes_like_oracle(tmp_path / "d.csv", ["a"], cells, "?",
+        # A block's token ids take index_dtype of the tokens seen so far:
+        # 200 tokens in the first block (uint8), then 4,097 more (uint16).
+        # With the 32-bit width lowered to 4,096 tokens, the first block's
+        # ids fit it and every later block's are intp.  Quoted fields keep
+        # the file on the csv.reader path.
+        path = tmp_path / "d.csv"
+        cells = np.r_[np.arange(CSV_BLOCK_ROWS) % 200,
+                      200 + np.arange(CSV_BLOCK_ROWS + 1)].astype(str)
+        assert_decodes_like_oracle(path, ["a"], cells[:, None], "?",
                                    csv.QUOTE_ALL)
-        assert dtypes == [np.int32, np.int64, np.int64]
+        assert data._byte_token_ids(path) is None
 
-    def test_peak_memory(self, tmp_path):
-        # Derived bound, per cell: 4 bytes of int32 token ids and the
-        # rows' own itemsize (1 byte for these 2-3 state variables); per
-        # row, two int64 column temporaries while one column is mapped;
-        # and one block of records (the sampled labels are one-character
-        # strings, which CPython shares rather than allocates).
+        def widths():
+            with open(path, newline="") as fh:
+                return [b.dtype for b in
+                        data._token_ids(csv.reader(fh), path)[1]]
+
+        assert widths() == [np.uint8, np.uint16, np.uint16]
+        monkeypatch.setattr(data, "_WIDTHS",
+                            [(CSV_BLOCK_ROWS - 1, np.dtype(np.uint32))])
+        assert widths() == [np.uint32, np.intp, np.intp]
+
+    def test_peak_memory(self, tmp_path, monkeypatch):
+        # The csv.reader path.  Derived bound, per cell: at most 4 bytes of
+        # token ids (1 byte here, and one block's in the width of its
+        # bound before they are narrowed) and the rows' own itemsize (1
+        # byte for these 2-3 state variables); per row, two int64 column
+        # temporaries while one column is mapped; and one block of records
+        # (the sampled labels are one-character strings, which CPython
+        # shares rather than allocates).
+        monkeypatch.setattr(data, "_byte_token_ids", lambda path: None)
         path, n = tmp_path / "d.csv", 10
         save_csv(sample(random_network(n, 5), 20000, seed=5), path)
-        tracemalloc.start()
-        try:
-            ds = load_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ds, peak = traced_peak(load_csv, path)
         assert ds.rows.itemsize == 1
         cells = ds.m * n
         bound = (cells * (4 + ds.rows.itemsize) + 2 * 8 * ds.m
                  + CSV_BLOCK_ROWS * sys.getsizeof([None] * n))
         assert peak <= bound, (peak / cells, bound / cells)
 
+    def test_peak_memory_byte_path(self, tmp_path, monkeypatch):
+        # Derived bound, per cell: 1 byte of token ids (at most 256
+        # distinct tokens) and the rows' itemsize; per row, two int64
+        # column temporaries while one column is mapped; the intp id
+        # table and one bincount of as many codes, 2**16 entries each;
+        # and one block's temporaries, each at most a byte's worth of
+        # tokens: block copies (3 bytes), the delimiter masks (3), the
+        # token ends (8), lengths (4), the aligned windows (2 + 1), the
+        # codes and their transpose (2 + 2) and the intp ids (8).
+        path, n = tmp_path / "d.csv", 10
+        save_csv(sample(random_network(n, 5), 20000, seed=5), path)
 
-# Tokens of 0 to 8 UTF-8 bytes with no '"', NUL, CR, LF or comma, which
-# the byte path decodes.  "\x85" and "\u2028" end a line for
-# str.splitlines but not for csv.reader; a BOM is kept inside a file.
-BYTE_TOKENS = ["", "a", "b", "?", "10", "9", " pad", "x y z", "NA",
-               "\u00fc", "\u65e5\u672c", "\u00e9t\u00e9", "\x85", "\u2028",
-               "\ufeffb", "1234567", "abcdefgh"]
+        def refuse(reader, path):
+            raise AssertionError("read by csv.reader")
+
+        monkeypatch.setattr(data, "_token_ids", refuse)
+        ds, peak = traced_peak(load_csv, path)
+        assert ds.rows.itemsize == 1
+        cells = ds.m * n
+        bound = (cells * (1 + ds.rows.itemsize) + 2 * 8 * ds.m
+                 + 2 * 8 * 2 ** 16 + 33 * CSV_BLOCK_BYTES)
+        assert peak <= bound, (peak / cells, bound / cells)
+
+
+def traced_peak(f, *args):
+    """f(*args) and the peak memory tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Tokens of 0 to 2 UTF-8 bytes with no '"', NUL, CR, LF or comma, which
+# the byte path decodes.  "\x85" ends a line for str.splitlines but not
+# for csv.reader.
+BYTE_TOKENS = ["", "a", "b", "?", "10", "9", " p", "x ", "NA", "\u00fc",
+               "\u00e9", "\x85", "\x7f~"]
 
 
 def load_outcome(path, missing="?"):
@@ -306,7 +344,8 @@ class TestBytePath:
         kind = int(rng.integers(3))   # LF, CRLF or mixed line ends
         eols = (rng.choice(["\n", "\r\n"], size=m + 1) if kind == 2
                 else [["\n", "\r\n"][kind]] * (m + 1))
-        names = [f"v{i}" for i in range(n)]
+        # Header names are not bound by the token length.
+        names = [f"v{i} \u65e5\u672c" for i in range(n)]
         lines = [",".join(names)] + [",".join(row) for row in cells.tolist()]
         text = "".join(line + eol for line, eol in zip(lines, eols))
         if rng.random() < 0.5:
@@ -329,7 +368,10 @@ class TestBytePath:
         (b"a,b\r1,2\n", None),                    # a bare CR in the header
         (b"a\nx\ry\n", None),                      # a bare CR in a token
         (b"a,b\nx\ry,1\n", "d.csv:2: expected 2 fields, got 1"),
-        (b"a,b\n123456789,2\n", None),            # a 9-byte token
+        (b"a,b\n123,2\n", None),                  # a 3-byte token
+        ("a,b\n1,\u65e5\n".encode(), None),       # a 3-byte character
+        ("a,b\n1,\ufeffb\n".encode(), None),      # a BOM inside the file
+        (b"a,b\n1,2\n3,456\n" * 3000, None),     # past the first block
         (b"a\nx\n\ny\n", "d.csv:3: expected 1 fields, got 0"),   # blank
         (b"a\r\nx\r\n\r\ny\r\n", "d.csv:3: expected 1 fields, got 0"),
         (b"a,b\n1,2\n\n3,4\n", "d.csv:3: expected 2 fields, got 0"),
@@ -385,21 +427,36 @@ class TestBytePath:
     def test_ids_widen_with_the_tokens_seen(self, tmp_path):
         # The byte path's twin of TestLoadCsv.test_ids_widen_past_int32: a
         # block's ids take the narrowest width that holds every id so far.
-        # 200 tokens fill the first block (uint8); then 70,000 distinct
-        # 5-byte tokens pass 256 (uint16) and 65,536 (uint32).
-        cells = [str(i % 200) for i in range(10000)]
-        cells += [f"{i:05d}" for i in range(70000)]
+        # 200 tokens fill the first blocks (uint8); then 2,704 distinct
+        # 2-letter tokens pass 256 (uint16).
+        pairs = [a + b for a in string.ascii_letters
+                 for b in string.ascii_letters]
+        cells = [pairs[i % 200] for i in range(2 * CSV_BLOCK_BYTES // 3)]
+        cells += pairs * 3
         path = tmp_path / "d.csv"
         path.write_text("a\n" + "".join(c + "\n" for c in cells))
         blocks = data._byte_token_ids(path)[1]
         widths = [b.dtype for b in blocks]
-        assert widths[0] == np.uint8 and widths[-1] == np.uint32
-        assert np.uint16 in widths
+        assert widths[0] == np.uint8 and widths[-1] == np.uint16
         assert widths == sorted(widths, key=lambda t: t.itemsize)
         ds = load_csv(path)
         header, labels, rows = load_csv_oracle(path)
         assert ds.state_labels == labels
         assert ds.rows.dtype == rows.dtype and np.array_equal(ds.rows, rows)
+
+    def test_cr_line_ends_not_read_whole(self, tmp_path):
+        # A file with CR line ends has no LF, so its header line would be
+        # the whole file: the byte path reads at most CSV_HEADER_BYTES + 1
+        # bytes of it (held twice while readline returns) before it leaves
+        # the file to csv.reader.  The file is 8 times as long.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\r" + b"1,2\r" * (2 * CSV_HEADER_BYTES))
+        parsed, peak = traced_peak(data._byte_token_ids, path)
+        assert parsed is None
+        assert peak < 3 * CSV_HEADER_BYTES
+        header, labels, rows = load_csv_oracle(path)
+        assert load_outcome(path) == (header, labels, rows.dtype,
+                                      rows.tolist())
 
 
 class TestSaveCsv:
