@@ -28,7 +28,12 @@ from .graph import GraphError, PartialDag, check_node
 CPT_ROW_TOL = 1e-9
 DEFAULT_MISSING_TOKEN = "?"
 CSV_BLOCK_ROWS = 4096  # records per block in save_csv and load_csv's csv path
-CSV_BLOCK_BYTES = 2 ** 15   # bytes per block on load_csv's byte path
+# Bytes per block on load_csv's byte path.  Not smaller: with glibc's
+# malloc, 32 or 64 KiB blocks leave their many small arrays scattered
+# through the heap, and the resident peak of repeated loads then differs
+# by up to 3 MB from one process to the next; from 128 KiB on every load
+# reuses the same heap.
+CSV_BLOCK_BYTES = 2 ** 17
 CSV_HEADER_BYTES = 2 ** 20  # longest header line the byte path reads
 _INTP_MAX = np.iinfo(np.intp).max  # the most cells a count table can index
 # Families of at most this many cells are counted from per-state bitsets,
