@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import GraphError, PartialDag, check_node
+from .graph import GraphError, PartialDag, family_key
 
 CPT_ROW_TOL = 1e-9
 DEFAULT_MISSING_TOKEN = "?"
@@ -77,6 +77,7 @@ class Dataset:
     def __post_init__(self):
         self.cardinalities, self.state_labels = _checked_labels(
             self.variable_names, self.cardinalities, self.state_labels)
+        self.n = len(self.variable_names)   # read on every score lookup
         rows = np.asarray(self.rows)
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise DataError(f"rows must be an (m, {self.n}) table, got "
@@ -94,10 +95,6 @@ class Dataset:
                                 f"{name}")
             if not narrow:
                 self.rows[:, i] = col
-
-    @property
-    def n(self):
-        return len(self.variable_names)
 
     @property
     def m(self):
@@ -298,7 +295,8 @@ class _ByteDecoder:
     A token's code is its at most two bytes packed little-endian and
     zero-padded into a uint16; NUL is excluded, so distinct tokens have
     distinct codes.  Codes map to ids through a dense 2**16-entry table,
-    and a token is decoded to str once, when its code is first seen.
+    and a token is decoded to str once, when its code is first seen.  That
+    is the one UTF-8 check, as no UTF-8 character holds a ',', LF or CR byte.
     """
 
     def __init__(self, n, longest):
@@ -311,11 +309,6 @@ class _ByteDecoder:
         LF; False, appending nothing, if it is not plain."""
         if not buf:
             return True
-        if not buf.isascii():
-            try:
-                buf.decode()
-            except UnicodeDecodeError:
-                return False
         if b'"' in buf or b"\0" in buf:
             return False
         n = self.n
@@ -355,8 +348,11 @@ class _ByteDecoder:
             # would add its code pages to the resident set.
             new = np.flatnonzero(np.bincount(codes[ids < 0]))
             first = len(self.tokens)
-            self.tokens += [c.to_bytes(2, "little").rstrip(b"\0").decode()
-                            for c in new.tolist()]
+            try:   # the list is made whole first, so a bad token adds none
+                self.tokens += [c.to_bytes(2, "little").rstrip(b"\0")
+                                .decode() for c in new.tolist()]
+            except UnicodeDecodeError:
+                return False
             self.table[new] = np.arange(first, len(self.tokens))
             ids = np.take(self.table, codes)
         self.blocks.append(_narrow_ids(ids, self.tokens).T)
@@ -496,10 +492,7 @@ def count_statistics(dataset, y, parents):
     configuration key.  Members must pass :func:`check_node`; a child among
     its parents or a repeated parent raises GraphError, and a family whose
     dense q * r_y table cannot be indexed or allocated raises DataError."""
-    parents = list(parents)
-    for v in (y, *parents):
-        check_node(v, dataset.n)
-    parents.sort()
+    y, parents = family_key(y, parents, dataset.n)
     if y in parents:
         raise GraphError("child cannot be its own parent")
     if len(set(parents)) != len(parents):

@@ -35,6 +35,18 @@ def check_node(v, n):
         raise GraphError(f"node index {v} out of range [0, {n})")
 
 
+def family_key(y, parents, n):
+    """(y, sorted parents), each member passing the node rule before the
+    sort, so no member of another type meets a comparison or an int's key."""
+    family = [y, *parents]
+    for v in family:
+        if type(v) is not int or not 0 <= v < n:   # plain ints skip a call
+            check_node(v, n)
+    del family[0]
+    family.sort()
+    return y, tuple(family)
+
+
 class PartialDag:
     """Mixed graph of arcs x->y and links x-y over nodes 0..n-1.
 

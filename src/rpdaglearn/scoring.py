@@ -18,7 +18,7 @@ from scipy.special import gammaln
 # Counted in data; read through this module's globals, which
 # bench/tracer.py patches as scoring.count_statistics.
 from .data import count_statistics
-from .graph import GraphError, check_node
+from .graph import GraphError, family_key
 
 SCORE_IDS = ("bdeu", "bic")
 PRIOR_IDS = ("uniform", "param-penalty")
@@ -167,9 +167,9 @@ class Scorer:
             scores.update(zip(keys, values.tolist()))
 
     def precompute(self, families):
-        """Score, in one batch, each of the (child, parent set) pairs
-        ``families`` whose score is not stored yet.  No lookup is counted:
-        the callers read the scores through :meth:`local`."""
+        """Score, in one batch, each (child, parent set) pair of ``families``
+        not yet stored, checked when :func:`count_statistics` counts it.
+        No lookup is counted: the callers read scores through :meth:`local`."""
         store = self.cache.store
         keys = dict.fromkeys((y, tuple(sorted(pa))) for y, pa in families)
         missing = [key for key in keys if key not in store]
@@ -177,9 +177,9 @@ class Scorer:
             self._compute(missing)
 
     def local(self, y, parents):
-        if type(y) is not int:   # True or 1.0 would find node 1's score
-            check_node(y, self.dataset.n)
-        key = (y, tuple(sorted(parents)))
+        """Score of y given ``parents`` through the cache, hit or miss keyed
+        by :func:`~rpdaglearn.graph.family_key`; one lookup (TEst)."""
+        key = family_key(y, parents, self.dataset.n)
         value = self.cache.store.get(key)
         if value is None:
             self._compute([key])

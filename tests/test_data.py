@@ -372,6 +372,7 @@ class TestBytePath:
         ("a,b\n1,\u65e5\n".encode(), None),       # a 3-byte character
         ("a,b\n1,\ufeffb\n".encode(), None),      # a BOM inside the file
         (b"a,b\n1,2\n3,456\n" * 3000, None),     # past the first block
+        (b"a,b\n1,2\n3,456", None),               # ... and no final LF
         (b"a\nx\n\ny\n", "d.csv:3: expected 1 fields, got 0"),   # blank
         (b"a\r\nx\r\n\r\ny\r\n", "d.csv:3: expected 1 fields, got 0"),
         (b"a,b\n1,2\n\n3,4\n", "d.csv:3: expected 2 fields, got 0"),
@@ -380,6 +381,7 @@ class TestBytePath:
         (b"\xef\xbb\xbf", "d.csv: empty file"),
         (b"a,a\n1,2\n", "d.csv: duplicate header names"),
         (b"a,b\n\xff,1\n", "d.csv: not UTF-8"),
+        (b"a,b\n\xc3(,1\n", "d.csv: not UTF-8"),  # an invalid 2-byte token
         (b"\xffa,b\n1,2\n", "d.csv: not UTF-8"),
         (b"a,b\n" + b"x" * (csv.field_size_limit() + 1) + b",1\n",
          f"d.csv:2: field larger than field limit "
@@ -750,6 +752,13 @@ class TestCountingKernels:
             data.BITSET_MAX_CELLS
         count_statistics(ds, 0, wide)
         assert set(ds._bits) == read
+
+    @needs_popcount
+    def test_set_bits_past_uint32(self):
+        # A row of 2**26 full words has 2**32 set bits, which uint32 sums
+        # would wrap to 0.
+        words = np.broadcast_to(np.uint64(2 ** 64 - 1), (1, 2 ** 26))
+        assert data._set_bits(words).tolist() == [2 ** 32]
 
     def test_empty_table_makes_no_bitsets(self):
         # A zero-state variable leaves no cell: the table is empty at once,

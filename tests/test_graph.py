@@ -60,6 +60,18 @@ class TestNodeRule:
         assert g.pa(v) == set() and not g.is_adjacent(v, (v + 1) % 3)
 
 
+class TestRepresentation:
+    def test_repr_lists_sorted_edges(self):
+        g = g_from(3, arcs=[(2, 0), (1, 0)], links=[(2, 1)])
+        assert repr(g) == \
+            "PartialDag(n=3, arcs=[(1, 0), (2, 0)], links=[(1, 2)])"
+
+    def test_not_equal_to_other_types(self):
+        g = g_from(3)
+        assert g.__eq__(3) is NotImplemented
+        assert not g == 3 and g != 3
+
+
 class TestIsDag:
     def test_empty(self):
         assert PartialDag(3).is_dag()

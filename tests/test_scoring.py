@@ -458,6 +458,62 @@ class TestCache:
         assert scorer.cache.requested == 1
         assert list(scorer.cache.store) == [(1, ())]
 
+    @pytest.mark.parametrize("place", ["child", "first parent",
+                                       "last parent"])
+    @pytest.mark.parametrize("bad, message", [
+        (True, "node index True is not an integer"),
+        (np.True_, f"node index {np.True_!r} is not an integer"),
+        (1.0, "node index 1.0 is not an integer"),
+        (np.float64(1), f"node index {np.float64(1)!r} is not an integer"),
+        ("1", "node index '1' is not an integer"),
+        (None, "node index None is not an integer"),
+        (3, "node index 3 out of range [0, 3)"),
+    ], ids=["bool", "np.bool", "float", "np.float64", "str", "None", "n"])
+    def test_bad_member_refused_alike_on_miss_and_hit(self, bad, message,
+                                                      place):
+        # With v = 1 each is a family of ints, which is then cached.
+        family = {"child": lambda v: (v, [0, 2]),
+                  "first parent": lambda v: (0, [v, 2]),
+                  "last parent": lambda v: (2, [0, v])}[place]
+        ds = dataset_from([2, 2, 2], [[0, 1, 1], [1, 1, 0], [1, 0, 0]])
+        scorer = Scorer(ds)
+        with pytest.raises(GraphError) as miss:
+            scorer.local(*family(bad))
+        assert scorer.cache.store == {} and scorer.cache.requested == 0
+        value = scorer.local(*family(1))
+        with pytest.raises(GraphError) as hit:
+            scorer.local(*family(bad))
+        assert str(miss.value) == str(hit.value) == message
+        assert scorer.cache.requested == 1
+        # A numpy integer is a node, and finds the int family's key.
+        assert scorer.local(*family(np.int64(1))) == value
+        assert scorer.cache.evaluated == 1
+
+    def test_batch_and_lookups_share_keys(self, rng):
+        # Whatever form a family takes, precompute stores it under the key
+        # that local then finds: no lookup evaluates again, and every score
+        # equals the one local alone gives.
+        n = 6
+        ds = random_dataset(n, 200, rng)
+        forms = [list, set, tuple, np.array,
+                 lambda pa: [np.int64(p) for p in pa]]
+        for _ in range(20):
+            families = []
+            for _ in range(30):
+                y = int(rng.integers(n))
+                others = [v for v in range(n) if v != y]
+                parents = rng.permutation(others)[:rng.integers(4)].tolist()
+                form = forms[rng.integers(len(forms))]
+                families.append((np.int64(y) if rng.integers(2) else y,
+                                 form(parents)))
+            batched, alone = Scorer(ds), Scorer(ds)
+            batched.precompute(families)
+            evaluated = batched.cache.evaluated
+            assert [batched.local(y, pa) for y, pa in families] == \
+                [alone.local(y, pa) for y, pa in families]
+            assert batched.cache.evaluated == evaluated \
+                == alone.cache.evaluated
+
 
 def mutual_information_loop(table):
     """The double loop over (j, k) that mutual_information replaced, kept
