@@ -364,20 +364,55 @@ def save_csv(dataset, path):
     then one record of state labels per row.
 
     Each state label is quoted once, by ``csv.writer`` itself, and rows are
-    streamed CSV_BLOCK_ROWS at a time, each block written as one string,
-    so memory holds one block whatever m is.  The bytes equal those of a
-    ``csv.writer`` writing the rows one by one.
+    streamed CSV_BLOCK_ROWS at a time, so memory holds one block whatever
+    m is.  When each column's quoted labels have one UTF-8 width, a block
+    is built as bytes: a (rows, record bytes) uint8 array filled from a
+    template row of commas and CRLF, each column's slice by one gather
+    from its (r, width) byte table.  Any other file writes each block as
+    one string.  Either way the bytes equal those of a ``csv.writer``
+    writing the rows one by one.
     """
     fields = [_csv_fields(labels, dataset.n)
               for labels in dataset.state_labels]
+    tables = [_byte_table(f) for f in fields]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(dataset.variable_names)
         # No variables: the header alone, as records of no fields would
         # be blank lines.
-        for start in range(0, dataset.m if dataset.n else 0, CSV_BLOCK_ROWS):
+        if not dataset.n:
+            return
+        starts = range(0, dataset.m, CSV_BLOCK_ROWS)
+        if any(t is None for t in tables):
+            for start in starts:
+                block = dataset.rows[start:start + CSV_BLOCK_ROWS]
+                cols = [f[col] for f, col in zip(fields, block.T)]
+                fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+            return
+        fh.flush()   # the header goes before the binary blocks
+        widths = [t.shape[1] for t in tables]
+        ends = np.cumsum([w + 1 for w in widths])   # past each field's comma
+        # One block of records, made once from a template row of commas
+        # and CRLF; each block then overwrites only the fields.
+        out = np.full((min(dataset.m, CSV_BLOCK_ROWS), ends[-1] + 1),
+                      ord(","), np.uint8)
+        out[:, -2:] = list(b"\r\n")
+        for start in starts:
             block = dataset.rows[start:start + CSV_BLOCK_ROWS]
-            cols = [f[col] for f, col in zip(fields, block.T)]
-            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+            records = out[:len(block)]
+            for table, col, end, w in zip(tables, block.T, ends, widths):
+                records[:, end - w - 1:end - 1] = np.take(table, col, axis=0)
+            fh.buffer.write(records)
+
+
+def _byte_table(fields):
+    """(r, width) uint8 table of the UTF-8 bytes of ``fields``; None if
+    they differ in width."""
+    encoded = [f.encode() for f in fields]
+    width = len(encoded[0]) if encoded else 0
+    if any(len(e) != width for e in encoded):
+        return None
+    return np.frombuffer(b"".join(encoded), np.uint8).reshape(len(encoded),
+                                                              width)
 
 
 def _csv_fields(labels, n):

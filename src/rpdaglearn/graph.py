@@ -38,13 +38,14 @@ def check_node(v, n):
 def family_key(y, parents, n):
     """(y, sorted parents), each member passing the node rule before the
     sort, so no member of another type meets a comparison or an int's key."""
-    family = [y, *parents]
-    for v in family:
-        if type(v) is not int or not 0 <= v < n:   # plain ints skip a call
+    if type(y) is not int or not 0 <= y < n:   # plain ints skip a call
+        check_node(y, n)
+    parents = [*parents]
+    for v in parents:
+        if type(v) is not int or not 0 <= v < n:
             check_node(v, n)
-    del family[0]
-    family.sort()
-    return y, tuple(family)
+    parents.sort()
+    return y, tuple(parents)
 
 
 class PartialDag:

@@ -168,10 +168,12 @@ class Scorer:
 
     def precompute(self, families):
         """Score, in one batch, each (child, parent set) pair of ``families``
-        not yet stored, checked when :func:`count_statistics` counts it.
-        No lookup is counted: the callers read scores through :meth:`local`."""
-        store = self.cache.store
-        keys = dict.fromkeys((y, tuple(sorted(pa))) for y, pa in families)
+        not yet stored.  Each is keyed by
+        :func:`~rpdaglearn.graph.family_key`, as :meth:`local` keys it, so
+        a bad member is refused whether its family is stored or not.  No
+        lookup is counted: the callers read scores through :meth:`local`."""
+        store, n = self.cache.store, self.dataset.n
+        keys = dict.fromkeys(family_key(y, pa, n) for y, pa in families)
         missing = [key for key in keys if key not in store]
         if missing:
             self._compute(missing)

@@ -1,6 +1,7 @@
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import math
 import string
@@ -467,16 +468,35 @@ class TestSaveCsv:
                                    2 * CSV_BLOCK_ROWS + 1])
     def test_bytes_equal_per_row_writer(self, tmp_path, m):
         rng = np.random.default_rng(m)
-        for names, labels in [
+        # (names, labels, whether every column's written labels have one
+        # UTF-8 width, so save_csv writes the file as bytes)
+        for names, labels, fixed in [
                 (["c,1", 'c"2', "c\n3", "c4"],
                  [["?", "a,b", 'q"uote'], ["x\ny", "", "\u00e9t\u00e9", "?"],
-                  ["0"], ["plain", "with space "]]),
+                  ["0"], ["plain", "with space "]], False),
                 # A lone empty field is written '""', unlike one among
                 # others.
-                (["c"], [["", "a", "x,y"]])]:
+                (["c"], [["", "a", "x,y"]], False),
+                # Multi-byte UTF-8 labels of 2 and 3 bytes.
+                (["a", "b"], [["\u00e9", "\u00fc", "ab"],
+                              ["\u65e5", "\u672c", "xyz"]], True),
+                # Every label quoted, each to 5 bytes.
+                (["q", "p"], [["x,y", "x\ny", 'a"'], ["0", "1"]], True),
+                # A one-state column labelled "": written as no bytes.
+                (["a", "e", "b"], [["0", "1"], [""], ["x", "y", "z"]], True),
+                (["c"], [["ab", "cd", "ef"]], True),
+                # uint16 rows.
+                (["w", "x"], [[f"{k:03}" for k in range(300)], ["0", "1"]],
+                 True),
+                # A ragged column beside fixed-width ones.
+                (["a", "r", "b"], [["0", "1"], ["x", "yy"], ["p", "q"]],
+                 False)]:
             rows = np.column_stack([rng.integers(len(a), size=m)
                                     for a in labels])
             ds = Dataset(names, [len(a) for a in labels], rows, labels)
+            assert fixed == all(
+                data._byte_table(data._csv_fields(a, ds.n)) is not None
+                for a in labels)
             save_csv(ds, tmp_path / "new.csv")
             save_csv_oracle(ds, tmp_path / "old.csv")
             new = (tmp_path / "new.csv").read_bytes()
@@ -510,6 +530,24 @@ class TestSaveCsv:
         record = ",".join(["0"] * n)
         bound = CSV_BLOCK_ROWS * (8 * n + sys.getsizeof(record) + 8
                                   + 2 * len(record + "\r\n"))
+        assert peak <= bound, (peak, bound)
+
+    def test_peak_memory_byte_path(self, tmp_path):
+        # Derived bound, for one block of B rows whatever m is: the
+        # (B, record bytes) uint8 block; one column's gather, its B x 1
+        # byte slice and the B x 8-byte intp copy of the state column that
+        # np.take makes; per column, its quoted labels and byte table,
+        # under 1 KiB for two 1-byte labels; and the 128 KiB (32,768 UCS4
+        # characters) record buffer that a csv.writer allocates for the
+        # labels and the header, and the file's buffer.  The string path
+        # holds some 260 bytes a row for this block, so it fails here.
+        m, n = 50000, 16
+        ds = Dataset([f"v{i}" for i in range(n)], [2] * n,
+                     np.random.default_rng(0).integers(2, size=(m, n)))
+        record = len(",".join(["0"] * n) + "\r\n")
+        _, peak = traced_peak(save_csv, ds, tmp_path / "d.csv")
+        bound = (CSV_BLOCK_ROWS * (record + 1 + 8) + n * 1024 + 4 * 2 ** 15
+                 + io.DEFAULT_BUFFER_SIZE)
         assert peak <= bound, (peak, bound)
 
     def test_gold8_sample_bytes_pinned(self, tmp_path):

@@ -514,6 +514,25 @@ class TestCache:
             assert batched.cache.evaluated == evaluated \
                 == alone.cache.evaluated
 
+    @pytest.mark.parametrize("stored, family, message", [
+        # Sorted first, None or a str would meet an int: TypeError.
+        ([], (0, [None, 1]), "node index None is not an integer"),
+        ([], (0, ["1", 2]), "node index '1' is not an integer"),
+        # True == 1 and hash(True) == hash(1), so the batch would find
+        # node 1's stored key and skip the family unchecked.
+        ([(1, [])], (True, []), "node index True is not an integer"),
+    ], ids=["None", "str", "stored bool"])
+    def test_batch_refuses_bad_member_by_node_rule(self, stored, family,
+                                                   message):
+        ds = dataset_from([2, 2, 2], [[0, 1, 1], [1, 1, 0], [1, 0, 0]])
+        scorer = Scorer(ds)
+        scorer.precompute(stored)
+        keys = list(scorer.cache.store)
+        with pytest.raises(GraphError, match=re.escape(message)):
+            scorer.precompute([(2, [0]), family])
+        assert list(scorer.cache.store) == keys
+        assert scorer.cache.requested == 0
+
 
 def mutual_information_loop(table):
     """The double loop over (j, k) that mutual_information replaced, kept
