@@ -49,6 +49,11 @@ _WIDTHS = [(np.iinfo(t).max, np.dtype(t)) for t in (np.uint8, np.uint16,
                                                       np.uint32)
            if np.can_cast(t, np.intp)]
 _JSON_TYPES = {dict: "object", list: "array", str: "string"}
+# The bytes that can be a one-byte token of a plain CSV file: ASCII but
+# NUL, '"', ',', CR and LF.
+_TOKEN_BYTES = np.zeros(256, bool)
+_TOKEN_BYTES[1:128] = True
+_TOKEN_BYTES[list(b'",\r\n')] = False
 
 
 class DataError(Exception):
@@ -170,25 +175,30 @@ def load_csv(path, missing_token=DEFAULT_MISSING_TOKEN):
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 ({exc})") from None
     header, blocks, tokens = parsed
-
-    def ids(i):
-        """Token ids of column i; only one column is copied at a time."""
-        return np.concatenate([b[:, i] for b in blocks]
-                              or [np.empty(0, np.uint8)])
-
-    n = len(header)
+    # The file's token ids, column-major, gathered from the blocks once;
+    # the blocks are then freed.
+    ids = np.empty((sum(map(len, blocks)), len(header)),
+                   index_dtype(len(tokens)), order="F")
+    start = 0
+    for block in blocks:
+        ids[start:start + len(block)] = block
+        start += len(block)
+    del blocks[:]
     # Each column's alphabet, as token ids in state order.
-    orders = [sorted(np.flatnonzero(np.bincount(ids(i))).tolist(),
+    orders = [sorted(np.flatnonzero(np.bincount(col)).tolist(),
                      key=lambda k: (tokens[k] == missing_token, tokens[k]))
-              for i in range(n)]
+              for col in ids.T]
     dtype = index_dtype(max(map(len, orders), default=0))
-    rows = np.empty((sum(map(len, blocks)), n), dtype, order="F")
+    # The state indices overwrite the ids when they have the same width:
+    # in its default mode np.take writes to a copy of ``out``, so it may
+    # be the index.
+    rows = ids if ids.dtype == dtype else np.empty(ids.shape, dtype, "F")
     # Token id -> state index in the column at hand; only the ids present
     # in that column are written and read.
     lookup = np.empty(len(tokens), dtype)
     for i, order in enumerate(orders):
         lookup[order] = np.arange(len(order))
-        rows[:, i] = lookup[ids(i)]
+        np.take(lookup, ids[:, i], out=rows[:, i])
     labels = [[tokens[k] for k in order] for order in orders]
     return Dataset(list(header), [len(a) for a in labels], rows, labels)
 
@@ -297,6 +307,8 @@ class _ByteDecoder:
     distinct codes.  Codes map to ids through a dense 2**16-entry table,
     and a token is decoded to str once, when its code is first seen.  That
     is the one UTF-8 check, as no UTF-8 character holds a ',', LF or CR byte.
+    A block whose tokens are all one ASCII byte is read at fixed offsets
+    (see :meth:`_one_byte_ids`); any other goes through :meth:`_ids`.
     """
 
     def __init__(self, n, longest):
@@ -309,8 +321,62 @@ class _ByteDecoder:
         LF; False, appending nothing, if it is not plain."""
         if not buf:
             return True
+        ids = self._one_byte_ids(buf)
+        if ids is None:
+            ids = self._ids(buf)
+            if ids is None:
+                return False
+        # Column-major, so each column of the block is read contiguously.
+        self.blocks.append(_narrow_ids(ids, self.tokens).T)
+        return True
+
+    def _one_byte_ids(self, buf):
+        """(n, k) ids of ``buf`` when its k records all have n one-byte
+        tokens and one line end, so that each is 2n bytes (LF) or 2n + 1
+        (CRLF) long; None for any other block.
+
+        Such a block is a (k, width) array whose commas, CRs and LFs sit
+        at fixed columns, and whose tokens are every other byte.  Each
+        token byte maps through the first 256 entries of the id table;
+        one that is unknown, or that no one-byte token can be, maps to a
+        value past every id.  As every byte is checked, no delimiter is
+        searched for.  The header holds a name of at least one character
+        within the csv field limit, so the limit admits one-byte tokens.
+        """
+        n = self.n
+        width = 2 * n + buf.endswith(b"\r\n")
+        if len(buf) % width:
+            return None
+        r = np.frombuffer(buf, np.uint8).reshape(-1, width)
+        if not ((r[:, -1] == ord("\n")).all()
+                and (r[:, 1:2 * n - 1:2] == ord(",")).all()
+                and (width % 2 == 0 or (r[:, -2] == ord("\r")).all())):
+            return None
+        codes = r[:, 0:2 * n:2].T
+        ids, unknown = self._byte_ids(codes)
+        if unknown.any():
+            new = np.flatnonzero(np.bincount(codes[unknown]))
+            if not _TOKEN_BYTES[new].all():
+                return None
+            first = len(self.tokens)
+            self.tokens += map(chr, new.tolist())
+            self.table[new] = np.arange(first, len(self.tokens))
+            ids, _ = self._byte_ids(codes)
+        return ids
+
+    def _byte_ids(self, codes):
+        """Ids of one-byte token ``codes``, and where they are unknown."""
+        # In the width of one id more than there are tokens, the table's
+        # -1s wrap to the largest value, which no id reaches.
+        lut = self.table[:256].astype(index_dtype(len(self.tokens) + 1))
+        ids = np.take(lut, codes)
+        return ids, ids == np.iinfo(lut.dtype).max
+
+    def _ids(self, buf):
+        """(n, k) ids of any plain block, from its delimiters' offsets;
+        None if it is not plain."""
         if b'"' in buf or b"\0" in buf:
-            return False
+            return None
         n = self.n
         a = np.frombuffer(buf, np.uint8)
         ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
@@ -318,7 +384,7 @@ class _ByteDecoder:
         # has n fields.
         if (len(ends) != buf.count(b"\n") * n
                 or not np.all(a[ends[n - 1::n]] == ord("\n"))):
-            return False
+            return None
         lens = np.empty(len(ends), np.int32)
         lens[0] = ends[0]
         np.subtract(ends[1:], ends[:-1], out=lens[1:])
@@ -326,20 +392,19 @@ class _ByteDecoder:
         # A CR is allowed only before an LF, and is not part of the token.
         crs = a[ends[n - 1::n] - 1] == ord("\r")
         if np.count_nonzero(crs) != buf.count(b"\r"):
-            return False
+            return None
         starts = np.subtract(ends, lens, out=ends)
         lens[n - 1::n] -= crs
         # With n = 1 an empty token is a blank line, which csv.reader
         # reads as a record of no fields.
         if lens.max() > self.longest or (n == 1 and lens.min() == 0):
-            return False
+            return None
         # The two bytes at every offset of buf, zero-padded at its end,
         # copied to aligned memory: an unaligned gather is far slower.
         window = np.ndarray(len(buf), "<u2", buf + b"\0", strides=(1,)).copy()
         codes = np.take(window, starts)
         codes &= np.take(np.array([0, 0xff, 0xffff], np.uint16), lens)
         del a, ends, starts, lens, window
-        # Column-major, so each column of the block is read contiguously.
         codes = codes.reshape(-1, n).T.copy()
         # np.take, as fancy indexing by a non-intp index is slower.
         ids = np.take(self.table, codes)
@@ -352,11 +417,10 @@ class _ByteDecoder:
                 self.tokens += [c.to_bytes(2, "little").rstrip(b"\0")
                                 .decode() for c in new.tolist()]
             except UnicodeDecodeError:
-                return False
+                return None
             self.table[new] = np.arange(first, len(self.tokens))
             ids = np.take(self.table, codes)
-        self.blocks.append(_narrow_ids(ids, self.tokens).T)
-        return True
+        return ids
 
 
 def save_csv(dataset, path):
@@ -372,11 +436,14 @@ def save_csv(dataset, path):
     one string.  Either way the bytes equal those of a ``csv.writer``
     writing the rows one by one.
     """
-    fields = [_csv_fields(labels, dataset.n)
+    record = _csv_record()
+    fields = [_csv_fields(labels, dataset.n, record)
               for labels in dataset.state_labels]
+    header = record(dataset.variable_names)
+    del record   # and the writer's record buffer, before any block
     tables = [_byte_table(f) for f in fields]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(dataset.variable_names)
+        fh.write(header)
         # No variables: the header alone, as records of no fields would
         # be blank lines.
         if not dataset.n:
@@ -415,20 +482,32 @@ def _byte_table(fields):
                                                               width)
 
 
-def _csv_fields(labels, n):
-    """Object array of ``labels`` as ``csv.writer`` writes them in a
-    record of n fields.  A lone empty field is written as '""', an empty
-    field among others as nothing."""
+def _csv_record():
+    """A function giving the text ``csv.writer`` writes for one record.
+    Every call shares one writer, so its record buffer, 128 KiB from the
+    first record on, is allocated once."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writerow = csv.writer(buf).writerow
+
+    def record(fields):
+        buf.seek(0)
+        buf.truncate()
+        writerow(fields)
+        return buf.getvalue()
+
+    return record
+
+
+def _csv_fields(labels, n, record):
+    """Object array of ``labels`` as ``csv.writer`` writes them in a
+    record of n fields, each written by ``record`` (see
+    :func:`_csv_record`).  A lone empty field is written as '""', an empty
+    field among others as nothing."""
     # The end of a record with a second, empty field after the label.
     pad, end = ([""], ",\r\n") if n > 1 else ([], "\r\n")
     fields = np.empty(len(labels), object)
     for k, label in enumerate(labels):
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow([label, *pad])
-        fields[k] = buf.getvalue().removesuffix(end)
+        fields[k] = record([label, *pad]).removesuffix(end)
     return fields
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import GraphError
-from .scoring import Scorer, kl_fit_term
+# bench/tracer.py patches evaluation.kl_fit_term by name; nothing here
+# calls it.
+from .scoring import dag_scores, kl_fit_term  # noqa: F401
 
 
 @dataclass
@@ -47,7 +49,9 @@ def evaluate(structure, train, test=None, gold=None, ess=1.0,
 
     Returns a flat record with edge count, BDeu, BIC, and the mutual
     information fit term, plus the Hamming breakdown when a gold DAG is
-    supplied.  Test-set scores re-count all statistics on the test data.
+    supplied.  The three scores of a dataset come from one count of each
+    family (see :func:`~rpdaglearn.scoring.dag_scores`); test-set scores
+    count the test data.
     """
     for ds in (train,) if test is None else (train, test):
         if ds.n != structure.node_count:
@@ -57,14 +61,10 @@ def evaluate(structure, train, test=None, gold=None, ess=1.0,
     h = structure if structure.is_dag() else structure.extend()
     record = {"edges": structure.edge_count()}
 
-    def _scores(ds, tag):
-        record[f"bdeu_{tag}"] = Scorer(ds, "bdeu", ess, prior).score_dag(h)
-        record[f"bic_{tag}"] = Scorer(ds, "bic").score_dag(h)
-        record[f"kl_{tag}"] = kl_fit_term(h, ds)
-
-    _scores(train, "train")
-    if test is not None:
-        _scores(test, "test")
+    for ds, tag in ((train, "train"), (test, "test")):
+        if ds is not None:
+            (record[f"bdeu_{tag}"], record[f"bic_{tag}"],
+             record[f"kl_{tag}"]) = dag_scores(h, ds, ess, prior)
     if gold is not None:
         breakdown = hamming(h, gold)
         record.update(hamming_added=breakdown.added,

@@ -1,3 +1,4 @@
+import collections
 import csv
 import functools
 import hashlib
@@ -312,6 +313,25 @@ BYTE_TOKENS = ["", "a", "b", "?", "10", "9", " p", "x ", "NA", "\u00fc",
                "\u00e9", "\x85", "\x7f~"]
 
 
+# One-byte tokens the fixed-offset case reads, "?" the missing token.
+ONE_BYTE_TOKENS = ["0", "1", "2", "9", "?", "a", "Z", " ", "~", "\x7f",
+                   "\x01", "\t"]
+
+
+def count_block_decodes(monkeypatch):
+    """Counts of the _ByteDecoder block decodes from now on, by (name,
+    whether it gave ids)."""
+    counts = collections.Counter()
+    for name in ("_one_byte_ids", "_ids"):
+        def counted(self, buf, decode=getattr(data._ByteDecoder, name),
+                    name=name):
+            ids = decode(self, buf)
+            counts[name, ids is not None] += 1
+            return ids
+        monkeypatch.setattr(data._ByteDecoder, name, counted)
+    return counts
+
+
 def load_outcome(path, missing="?"):
     """What load_csv gives for ``path``: its dataset's parts, or the
     message of the DataError it raises."""
@@ -361,6 +381,134 @@ class TestBytePath:
         assert ds.variable_names == header == names
         assert ds.state_labels == labels
         assert ds.rows.dtype == rows.dtype and np.array_equal(ds.rows, rows)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_one_byte_tokens_equal_oracle(self, tmp_path, monkeypatch,
+                                          seed):
+        # Files whose tokens are all one ASCII byte.  With one kind of
+        # line end every block is read at fixed offsets; with both, a
+        # block holding both goes through the general byte decode.
+        rng = np.random.default_rng(seed)
+        block = [1, 7, 64, CSV_BLOCK_BYTES][seed % 4]
+        monkeypatch.setattr(data, "CSV_BLOCK_BYTES", block)
+        n = [1, 2, 5][seed % 3]
+        m = int(rng.integers(1, 20000 if block == CSV_BLOCK_BYTES else 300))
+        cells = rng.choice(ONE_BYTE_TOKENS, size=(m, n))
+        kind = seed // 4 % 3   # LF, CRLF or mixed line ends
+        eols = (rng.choice(["\n", "\r\n"], size=m + 1) if kind == 2
+                else [["\n", "\r\n"][kind]] * (m + 1))
+        lines = [",".join(f"v{i}" for i in range(n))]
+        lines += [",".join(row) for row in cells.tolist()]
+        text = "".join(line + eol for line, eol in zip(lines, eols))
+        if seed % 5 == 0:
+            text = text.removesuffix(eols[-1])
+        if seed % 7 < 3:
+            text = "\ufeff" + text
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        decodes = count_block_decodes(monkeypatch)
+        ds = load_csv(path)
+        if kind < 2:
+            assert set(decodes) == {("_one_byte_ids", True)}
+        header, labels, rows = load_csv_oracle(path)
+        assert ds.variable_names == header
+        assert ds.state_labels == labels
+        assert ds.rows.dtype == rows.dtype and np.array_equal(ds.rows, rows)
+
+    @pytest.mark.parametrize("block", [7, 64, CSV_BLOCK_BYTES])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("late", [
+        "ab",     # a two-byte token
+        "",       # a blank line (n = 1) or an empty field
+        "\r",     # a CR as a token
+    ])
+    def test_later_block_leaves_fixed_offsets(self, tmp_path, monkeypatch,
+                                              block, n, late):
+        # Blocks of one-byte tokens, then one that is not: the same
+        # outcome as csv.reader alone gives, the first blocks read at
+        # fixed offsets and the later one by the general byte decode,
+        # which leaves a CR and a blank line to csv.reader.
+        monkeypatch.setattr(data, "CSV_BLOCK_BYTES", block)
+        rng = np.random.default_rng(n)
+        cells = rng.choice(ONE_BYTE_TOKENS, size=(3 * block // (2 * n), n))
+        lines = [",".join(row) for row in cells.tolist()]
+        lines.append(",".join([late] + ["0"] * (n - 1)))
+        lines += [",".join(row) for row in cells[:5].tolist()]
+        path = tmp_path / "d.csv"
+        header = ",".join(f"v{i}" for i in range(n))
+        path.write_bytes("".join(line + "\n" for line in [header, *lines])
+                         .encode())
+        decodes = count_block_decodes(monkeypatch)
+        got = load_outcome(path)
+        # An empty field among others is plain; a blank line is not.
+        plain = late == "ab" or (late == "" and n > 1)
+        assert decodes["_one_byte_ids", True] > 1
+        assert decodes["_ids", plain] == 1
+        if plain:
+            header, labels, rows = load_csv_oracle(path)
+            assert got == (header, labels, rows.dtype, rows.tolist())
+        monkeypatch.setattr(data, "_byte_token_ids", lambda path: None)
+        assert load_outcome(path) == got
+
+    @pytest.mark.parametrize("token", [b",", b'"', b"\0", b"\x80", b"\xe9",
+                                       b"\xff"])
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"])
+    def test_impossible_token_byte_at_fixed_offsets(self, tmp_path,
+                                                    monkeypatch, token, eol):
+        # In a token's place of a fixed-offset record: the outcome
+        # csv.reader alone gives, which for a byte past ASCII is that the
+        # file is not UTF-8.
+        lines = [b"a,b", b"1,2", b"3,4", token + b",5", b"6,7"]
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"".join(line + eol for line in lines))
+        got = load_outcome(path)
+        if token[0] >= 0x80:
+            assert isinstance(got, str) and got.startswith(
+                f"{path}: not UTF-8")
+        monkeypatch.setattr(data, "_byte_token_ids", lambda path: None)
+        assert load_outcome(path) == got
+
+    @pytest.mark.parametrize("raw", [
+        b"a,b\r\n1,2\r\n3,45\n6,7\r\n",    # a token byte where a CR goes
+        b"a,b\r\n1,2\r\n3,4\r\r\n",        # a CR where a token byte goes
+        b"a,b\n1,2\n345\n6,7\n",           # a token byte where a comma goes
+        b"a,b\n1,2\n3,\n\n5,6\n",          # an empty field, then a blank line
+        b"a\nx\n\ry\n",                     # a CR token and a blank line
+        b"a\r\nx\r\nyz\n",                  # ... and at the end
+    ])
+    def test_records_as_long_as_fixed_offsets(self, tmp_path, monkeypatch,
+                                              raw):
+        # Records of the fixed-offset width whose bytes are laid out
+        # otherwise: the outcome csv.reader alone gives.
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        got = load_outcome(path)
+        monkeypatch.setattr(data, "_byte_token_ids", lambda path: None)
+        assert load_outcome(path) == got
+
+    def test_saved_sample_read_at_fixed_offsets(self, tmp_path, monkeypatch):
+        # Up to 10 states, labelled "0" ... "9": every block of the saved
+        # file is read at fixed offsets, so both general decodes refuse.
+        rng = np.random.default_rng(10)
+        g = random_dag(7, rng, 0.4)
+        cards = [int(rng.integers(1, 11)) for _ in range(7)]
+        cards[0] = 10
+        cpts = [rng.dirichlet(np.ones(cards[y]),
+                              size=math.prod(cards[x] for x in g.pa(y)))
+                for y in range(7)]
+        net = BayesNet([f"v{i}" for i in range(7)], cards, g, cpts)
+        ds = sample(net, 3 * CSV_BLOCK_ROWS, seed=10)
+        save_csv(ds, tmp_path / "d.csv")
+
+        def refuse(*args):
+            raise AssertionError("read by the general decode")
+
+        monkeypatch.setattr(data._ByteDecoder, "_ids", refuse)
+        monkeypatch.setattr(data, "_token_ids", refuse)
+        back = load_csv(tmp_path / "d.csv")
+        assert back.variable_names == ds.variable_names
+        assert back.state_labels == ds.state_labels
+        assert np.array_equal(back.rows, ds.rows)
 
     @pytest.mark.parametrize("raw, message", [
         (b'a,b\n"x",y\n1,2\n', None),             # a quote
@@ -494,8 +642,10 @@ class TestSaveCsv:
             rows = np.column_stack([rng.integers(len(a), size=m)
                                     for a in labels])
             ds = Dataset(names, [len(a) for a in labels], rows, labels)
+            record = data._csv_record()
             assert fixed == all(
-                data._byte_table(data._csv_fields(a, ds.n)) is not None
+                data._byte_table(data._csv_fields(a, ds.n, record))
+                is not None
                 for a in labels)
             save_csv(ds, tmp_path / "new.csv")
             save_csv_oracle(ds, tmp_path / "old.csv")

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from conftest import random_dataset
+from rpdaglearn import scoring
+from rpdaglearn.data import Dataset, count_statistics
 from rpdaglearn.evaluation import HammingBreakdown, evaluate, hamming
 from rpdaglearn.graph import GraphError, PartialDag
 from rpdaglearn.scoring import Scorer, kl_fit_term
@@ -68,11 +71,42 @@ class TestEvaluate:
         g = g_from(3, links=[(0, 1)])
         record = evaluate(g, ds, ess=2.0)
         h = g.extend()
-        assert record["bdeu_train"] == pytest.approx(
-            Scorer(ds, "bdeu", ess=2.0).score_dag(h))
-        assert record["bic_train"] == pytest.approx(
-            Scorer(ds, "bic").score_dag(h))
-        assert record["kl_train"] == pytest.approx(kl_fit_term(g, ds))
+        assert record["bdeu_train"] == Scorer(ds, "bdeu", ess=2.0).score_dag(h)
+        assert record["bic_train"] == Scorer(ds, "bic").score_dag(h)
+        assert record["kl_train"] == kl_fit_term(g, ds)
+
+    @pytest.mark.parametrize("prior", ["uniform", "param-penalty"])
+    @pytest.mark.parametrize("kind", ["rpdag", "dag"])
+    def test_one_count_per_family_equals_separate_passes(
+            self, monkeypatch, prior, kind):
+        # Each dataset's BDeu, BIC and KL come from one count of each
+        # family, and equal the three separate passes bit for bit.
+        rng = np.random.default_rng(7)
+        train = random_dataset(6, 300, rng, max_card=4)
+        test = Dataset(train.variable_names, train.cardinalities,
+                       random_dataset(6, 80, np.random.default_rng(8),
+                                      max_card=2).rows)
+        g = (g_from(6, arcs=[(0, 2), (1, 2), (2, 3)], links=[(4, 5)])
+             if kind == "rpdag"
+             else g_from(6, arcs=[(0, 1), (2, 1), (1, 3), (3, 4), (0, 5)]))
+        assert g.is_dag() == (kind == "dag")
+        counted = []
+
+        def count(dataset, y, parents):
+            counted.append((id(dataset), y))
+            return count_statistics(dataset, y, parents)
+
+        monkeypatch.setattr(scoring, "count_statistics", count)
+        record = evaluate(g, train, test=test, ess=3.0, prior=prior)
+        assert sorted(counted) == sorted((id(ds), y) for ds in (train, test)
+                                         for y in range(6))
+        monkeypatch.undo()
+        h = g if g.is_dag() else g.extend()
+        for ds, tag in ((train, "train"), (test, "test")):
+            assert record[f"bdeu_{tag}"] == Scorer(ds, "bdeu", 3.0,
+                                                   prior).score_dag(h)
+            assert record[f"bic_{tag}"] == Scorer(ds, "bic").score_dag(h)
+            assert record[f"kl_{tag}"] == kl_fit_term(h, ds)
 
     def test_test_split_scored_independently(self, rng):
         train = random_dataset(3, 50, rng)
