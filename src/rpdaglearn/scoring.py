@@ -9,11 +9,12 @@ statistics were evaluated versus requested.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 # Counted in data; read through this module's globals, which
 # bench/tracer.py patches as scoring.count_statistics.
@@ -51,6 +52,72 @@ def bdeu_local(table, ess, prior="uniform"):
     return float(_bdeu(table.counts[None], ess, prior)[0])
 
 
+# lgamma(a + N) for a BDeu prior weight a > 0 and a count N >= 0 is
+# math.lgamma(a + N), read from a table per a, for N < LGAMMA_TABLE_N, and
+# Stirling's series to the x**-3 term for larger N: at x = a + N >= 128 the
+# first term left out, 1 / (1260 x**5), is below half an ulp of lgamma(x).
+LGAMMA_TABLE_N = 128
+_STIRLING_K = 0.5 * math.log(2 * math.pi) - 0.5
+# Gamma(x) ~ 1/x overflows a double below this, and lgamma is taken as
+# inf there, so an ess whose prior weights are that small is refused.
+_GAMMA_TINY = 1 / sys.float_info.max
+
+
+def _lgamma_scalar(x):
+    if x < _GAMMA_TINY:
+        return math.inf
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
+@functools.lru_cache(maxsize=256)
+def _lgamma_table(a):
+    """lgamma(a + i) for i < LGAMMA_TABLE_N, read-only."""
+    table = np.array([_lgamma_scalar(a + i) for i in range(LGAMMA_TABLE_N)])
+    table.flags.writeable = False
+    return table
+
+
+def _stirling(x):
+    """lgamma(x) for x >= LGAMMA_TABLE_N, as (x - 1/2)(ln x - 1)
+    + ln(2 pi)/2 - 1/2 + 1/(12 x) - 1/(360 x**3); x is overwritten.  A
+    smaller x is raised to LGAMMA_TABLE_N first, so no step overflows."""
+    np.maximum(x, LGAMMA_TABLE_N, out=x)
+    series = np.divide(-1 / 360, x)
+    series /= x
+    series += 1 / 12
+    series /= x
+    series += _STIRLING_K
+    out = np.log(x)
+    out -= 1.0
+    x -= 0.5
+    out *= x
+    out += series
+    return out
+
+
+def _lgamma(counts, a_j, a_jk):
+    """lgamma(a_j + N_j) and lgamma(a_jk + N_jk), as defined above, for
+    (k, q, r) BDeu counts N_jk and their sums N_j over the last axis.
+    Each value depends on its a and N alone, not on the other counts."""
+    k, q, r = counts.shape
+    nj = np.einsum("kqr->kq", counts)   # sums short rows faster than sum
+    table_j, table_jk = _lgamma_table(a_j), _lgamma_table(a_jk)
+    if nj.max() < LGAMMA_TABLE_N:      # so is every count
+        return table_j.take(nj), table_jk.take(counts)
+    # One series pass over both: x[:k q] is a_j + N_j, the rest a_jk + N_jk.
+    x = np.empty(k * q * (r + 1))
+    np.add(nj, a_j, out=x[:k * q].reshape(k, q))
+    np.add(counts, a_jk, out=x[k * q:].reshape(k, q, r))
+    out = _stirling(x)
+    lg_nj, lg_njk = out[:k * q].reshape(k, q), out[k * q:].reshape(k, q, r)
+    for lg, n, table in ((lg_nj, nj, table_j), (lg_njk, counts, table_jk)):
+        np.putmask(lg, n < LGAMMA_TABLE_N, table.take(n, mode="clip"))
+    return lg_nj, lg_njk
+
+
 def _bdeu(counts, ess, prior):
     """BDeu scores, as :func:`bdeu_local` defines them, of k families of
     one table shape from their stacked (k, q, r) counts."""
@@ -59,15 +126,16 @@ def _bdeu(counts, ess, prior):
         return np.zeros(k)
     a_jk = ess / (r * q)
     a_j = ess / q
-    # gammaln overflows to inf without a warning; subtracting two infs
-    # would warn and make the score NaN, so the two scalar terms are
-    # checked first.
-    lg_j, lg_jk = gammaln(a_j), gammaln(a_jk)
-    values = np.full(k, math.nan)
-    if math.isfinite(lg_j) and math.isfinite(lg_jk):
-        values = ((lg_j - gammaln(a_j + counts.sum(2))).sum(1)
-                  + (gammaln(a_jk + counts) - lg_jk).sum((1, 2)))
-    if not np.isfinite(values).all():
+    # lgamma is inf at the ess that make a_j or a_jk too large or too
+    # small; a later inf would make the score NaN with a warning, so the
+    # two scalar terms are checked first.
+    lg_j, lg_jk = _lgamma_table(a_j)[0], _lgamma_table(a_jk)[0]
+    finite = math.isfinite(lg_j) and math.isfinite(lg_jk)
+    if finite:
+        lg_nj, lg_njk = _lgamma(counts, a_j, a_jk)
+        values = (lg_j - lg_nj).sum(1) + (lg_njk - lg_jk).sum((1, 2))
+        finite = np.isfinite(values).all()
+    if not finite:
         raise ValueError(f"ess {ess} gives a BDeu score that is not finite")
     if prior == "param-penalty":
         values += (r - 1) * q * PARAM_PENALTY_LOG

@@ -11,9 +11,10 @@ tabu search in either space.
 Each iteration builds the neighbourhood as one boolean mask per move kind
 (:class:`Neighbourhood`) from the graph's reach matrix.  The loop keeps
 computed deltas in arrays laid out like the masks, computes only masked
-entries not yet kept, and picks the first maximal move with one argmax.
-Tabu search knocks out the moves its list blocks, one at a time from the
-top, taking the next first maximum after each.
+entries not yet kept, and picks the first move whose delta is within a
+tolerance of the maximum (:func:`_first_max`).  Tabu search knocks out
+the moves its list blocks, one at a time from the top, taking the next
+such move after each.
 A delta stays valid until a parent set it reads changes: Pa(y) for arc
 additions and deletions, also Pa(x) for a DAG reversal, none otherwise.
 """
@@ -31,7 +32,13 @@ import numpy as np
 
 from .graph import GraphError, PartialDag
 
-IMPROVE_TOL = 1e-12
+# Score equivalence makes many moves tie in exact arithmetic (a DAG arc
+# and its reversal, a covered-arc reversal that gains zero), and their
+# float deltas then differ by a few ulps of the scores they add.  Deltas
+# within TIE_RTOL of the total's magnitude are treated as equal, so the
+# rounding of the score kernel decides no move: its drift is at most
+# about 1e-15 of the total, and real gains are many orders larger.
+TIE_RTOL = 1e-12
 
 _KINDS = ("A_link", "A_arc", "A_hh", "D_arc", "D_link", "R_arc")
 _KIND_ORDER = {kind: i for i, kind in enumerate(_KINDS)}
@@ -334,15 +341,29 @@ def _scored(g, nb, deltas, space, scorer):
     return np.where(nb.flat, kept, -np.inf), len(missing)
 
 
+def _tol(score):
+    """The tolerance within which two deltas or scores near ``score`` are
+    taken as equal."""
+    return TIE_RTOL * max(1.0, abs(score))
+
+
+def _first_max(values, tol):
+    """Index of the first entry at least max(values) - tol."""
+    return int(np.argmax(values >= values.max() - tol))
+
+
 def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
     """The one search loop.  Each iteration applies the first maximal move
     the tabu list does not block, or the first maximal move when every move
-    is blocked: an argmax over the scored neighbourhood, repeated on a copy
-    with each blocked first maximum set to -inf.  Greedy keeps no tabu
-    list and stops before a move whose delta is at most IMPROVE_TOL; its
-    best graph is its current graph, since an applied move may gain less
-    than the score's ulp.  Tabu runs tsit iterations and keeps a copy of
-    the best graph seen."""
+    is blocked, where a move is maximal if its delta is within tol =
+    :func:`_tol` (total) of the maximum: :func:`_first_max` over the
+    scored neighbourhood, repeated on a copy with each blocked pick set to
+    -inf.  A blocked move is allowed if it beats the best score by more
+    than tol.  Greedy keeps no tabu list and stops before a move whose
+    delta is at most tol; its best graph is its current graph, as each
+    move it applies raises the score.  Tabu runs tsit iterations, keeps a
+    copy of the best graph seen, and counts a total as a new best when it
+    beats the best by more than :func:`_tol` (best)."""
     if scorer.dataset is not dataset:
         raise ValueError("the scorer is built on a different dataset")
     n = dataset.n
@@ -378,19 +399,20 @@ def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
         misses += computed
         if not nb.flat.any():
             break
-        i = first = int(np.argmax(values))
+        tol = _tol(total)
+        i = first = _first_max(values, tol)
         if tabu:
             allowed = values.copy()
             # Knock out listed moves that set no new best, best first.
-            while (total + allowed[i] <= best_score + IMPROVE_TOL
+            while (total + allowed[i] <= best_score + tol
                    and _signature(nb.move(i)) in tabu):
                 allowed[i] = -np.inf
-                i = int(np.argmax(allowed))
+                i = _first_max(allowed, tol)
                 if allowed[i] == -np.inf:   # every move is blocked
                     i = first
                     break
         op, d = nb.move(i), float(values[i])
-        if greedy and d <= IMPROVE_TOL:
+        if greedy and d <= tol:
             break
         tabu.append(_inverse_signature(op))
         before = [set(p) for p in g._pa]
@@ -403,7 +425,7 @@ def _search(dataset, scorer, space, start, greedy, tll=None, tsit=None):
         trace.append((op, d))
         if greedy:
             best_score, best_iteration = total, len(trace)
-        elif total > best_score + IMPROVE_TOL:
+        elif total > best_score + _tol(best_score):
             best_graph, best_score = g.copy(), total
             best_iteration = len(trace)
     report = SearchReport(

@@ -1,12 +1,15 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scipy.special import gammaln
-
+import rpdaglearn
 from conftest import bdeu_sequential_oracle, random_dataset, random_rpdag
 from rpdaglearn import scoring
 from rpdaglearn.census import enumerate_dags, rpdag_key
@@ -194,14 +197,15 @@ class TestBdeuLocal:
 
 def bdeu_one_table(table, ess, prior):
     """BDeu of one table, summed as the per-family path did before
-    families were scored in batches; the batched sums must equal it bit
-    for bit."""
+    families were scored in batches, from the package's lgamma kernel;
+    the batched sums must equal it bit for bit."""
     r, q = table.r_child, table.q
     if r * q == 0:
         return 0.0
     a_jk, a_j = ess / (r * q), ess / q
-    value = float((gammaln(a_j) - gammaln(a_j + table.marginals)).sum()
-                  + (gammaln(a_jk + table.counts) - gammaln(a_jk)).sum())
+    lg_nj, lg_njk = scoring._lgamma(table.counts[None], a_j, a_jk)
+    lg_j, lg_jk = math.lgamma(a_j), math.lgamma(a_jk)
+    value = float((lg_j - lg_nj[0]).sum() + (lg_njk[0] - lg_jk).sum())
     if prior == "param-penalty":
         value += (r - 1) * q * scoring.PARAM_PENALTY_LOG
     return value
@@ -301,6 +305,107 @@ class TestBatchedBdeu:
         with pytest.raises(ValueError, match=re.escape(message)):
             scorer.precompute([(0, ()), (0, (1,)), (2, (0, 1)), (1, (2,))])
         assert scorer.cache.store == {}
+
+
+def kernel_values(n, a):
+    """lgamma(a + n) from the package kernel, for a 1-D array of counts
+    n, as the cell terms of k = 1 families with one parent configuration
+    and one child state each (the marginal terms take a_j = a there)."""
+    return scoring._lgamma(np.asarray(n, np.intp)[None, :, None], a, a)[1]\
+        .ravel()
+
+
+def bdeu_arguments():
+    """(a, counts) pairs of BDeu-style arguments: a = ess / q or
+    ess / (r q) for ess in {1e-3, 1, 10, 1e6} and r, q up to 300, over
+    counts from 0 to 2e5."""
+    counts = np.unique(np.concatenate([
+        np.arange(400), np.geomspace(1, 2e5, 400).astype(np.intp)]))
+    priors = sorted({ess / d for ess in (1e-3, 1.0, 10.0, 1e6)
+                     for d in (1, 2, 3, 7, 300, 600, 300 * 300)})
+    return [(a, counts) for a in priors]
+
+
+class TestLgammaKernel:
+    """lgamma(a + N) for BDeu's prior weights a and its integer counts N
+    against math.lgamma on scalars."""
+
+    def test_matches_math_lgamma(self):
+        # A few ulps relative, and as many in absolute terms where
+        # |lgamma| < 1, around its zeros at 1 and 2.
+        for a, counts in bdeu_arguments():
+            got = kernel_values(counts, a)
+            for n, value in zip(counts.tolist(), got.tolist()):
+                expected = math.lgamma(a + n)
+                assert abs(value - expected) <= 4 * np.finfo(float).eps \
+                    * max(1.0, abs(expected)), (a, n)
+
+    def test_near_zeros_of_lgamma(self):
+        # a + N within 1e-3 of 1 or 2: N = 0 with a near 1 and 2, and
+        # N = 1 and 2 with a tiny a.
+        for a in (0.999, 1.0, 1.001, 1.999, 2.0, 2.001, 1e-3, 1e-9):
+            for n, value in enumerate(kernel_values([0, 1, 2], a).tolist()):
+                assert abs(value - math.lgamma(a + n)) <= 1e-15
+
+    def test_table_read_equals_direct_evaluation(self):
+        # A value depends on its a and N alone: counts that fit the table
+        # are read from it in one gather, equal math.lgamma bit for bit,
+        # and are read alike in a batch that needs the series; a series
+        # value is the same alone and among many.
+        small = np.arange(scoring.LGAMMA_TABLE_N)
+        large = np.unique(np.geomspace(scoring.LGAMMA_TABLE_N, 2e5, 1000)
+                          .astype(np.intp))
+        for a in (1e-3 / 300, 0.5, 1.0, 10.0, 1e6):
+            table_read = kernel_values(small, a)
+            assert table_read.tolist() == [math.lgamma(a + n)
+                                           for n in small.tolist()]
+            both = kernel_values(np.concatenate([small, large]), a)
+            assert both[:small.size].tolist() == table_read.tolist()
+            alone = [kernel_values([n], a)[0] for n in large.tolist()]
+            assert both[small.size:].tolist() == alone
+
+    def test_marginal_and_cell_terms_evaluated_alike(self, rng):
+        # _lgamma evaluates the marginals N_j with a_j and the cells N_jk
+        # with a_jk in one series pass; each term equals its own
+        # evaluation.
+        k, q, r = 3, 4, 5
+        counts = rng.integers(0, 400, size=(k, q, r))
+        lg_nj, lg_njk = scoring._lgamma(counts, 0.25, 0.05)
+        assert lg_nj.tolist() == kernel_values(
+            counts.sum(2).ravel(), 0.25).reshape(k, q).tolist()
+        assert lg_njk.tolist() == kernel_values(
+            counts.ravel(), 0.05).reshape(k, q, r).tolist()
+
+    def test_inf_where_gamma_overflows(self):
+        # math.lgamma raises at 0 and past about 2.5e305; the kernel gives
+        # inf there, and below 1 / DBL_MAX, where Gamma(x) ~ 1/x overflows.
+        for a in (0.0, 5e-324, 5e-309, 1e306, 1e308):
+            assert scoring._lgamma_table(a)[0] == math.inf
+        assert math.isfinite(scoring._lgamma_table(5.6e-309)[0])
+        ds = dataset_from([2, 3], [[0, 1], [1, 2], [1, 0]])
+        with pytest.raises(ValueError, match="not finite"):
+            Scorer(ds, "bdeu", ess=5e-324).local(0, (1,))   # a_jk = 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ess", [1e-300, 1e-150, 1e150, 1e300])
+    def test_extreme_but_finite_ess_warns_nothing(self, ess):
+        # Far from the ess that are refused; Stirling's series is
+        # evaluated without overflow at every count.
+        ds = dataset_from([2, 3], [[0, 1]] * 200 + [[1, 2], [1, 0]])
+        scorer = Scorer(ds, "bdeu", ess=ess)
+        assert math.isfinite(scorer.local(0, (1,)))
+        assert math.isfinite(scorer.local(1, ()))
+
+
+def test_import_needs_no_scipy():
+    src = Path(rpdaglearn.__file__).resolve().parent.parent
+    code = ("import sys, rpdaglearn, rpdaglearn.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
 
 
 class TestBatchedBic:

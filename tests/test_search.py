@@ -6,7 +6,7 @@ import pytest
 from conftest import (is_extension, oracle_dag_is_applicable,
                       oracle_is_applicable, random_dag, random_dataset,
                       random_network, random_rpdag)
-from rpdaglearn import search
+from rpdaglearn import scoring, search
 from rpdaglearn.census import enumerate_dags, group_by_rpdag_key, rpdag_key
 from rpdaglearn.data import BayesNet, Dataset, sample
 from rpdaglearn.graph import GraphError, PartialDag
@@ -20,6 +20,7 @@ from rpdaglearn.search import (MoveOperator, StartError, apply_operator,
 
 
 DAG_KINDS = ("A_arc", "D_arc", "R_arc")
+EPS = np.finfo(float).eps
 
 
 def g_from(n, arcs=(), links=()):
@@ -505,22 +506,24 @@ def replay_tabu(neighbourhoods, report, start_score, tll):
     """Replay the tabu list and the best score of a tabu run from its
     trace.  Returns one record per iteration: the scored moves, the pool
     the rule picks from (the allowed moves, or every move when all are
-    blocked), the applied move, whether the list held it and whether it
-    set a new best; and the best score."""
+    blocked), the applied move, whether the list held it, whether it set
+    a new best, and the tolerance of its pick; and the best score."""
     total = best = start_score
     tabu, steps = [], []
     for moves, applied in zip(neighbourhoods, report.trace, strict=True):
+        tol = search._tol(total)
         allowed = [(op, d) for op, d in moves
                    if not (search._signature(op) in tabu[-tll:]
-                           and total + d <= best + search.IMPROVE_TOL)]
+                           and total + d <= best + tol)]
         op, d = applied
         listed = search._signature(op) in tabu[-tll:]
         tabu.append(search._inverse_signature(op))
         total += d
-        improved = total > best + search.IMPROVE_TOL
+        improved = total > best + search._tol(best)
         if improved:
             best = total
-        steps.append((moves, allowed or moves, applied, listed, improved))
+        steps.append((moves, allowed or moves, applied, listed, improved,
+                      tol))
     return steps, best
 
 
@@ -629,16 +632,11 @@ class TestGreedy:
         with pytest.raises(ValueError, match="different dataset"):
             run(ds, Scorer(other))
 
-    def test_returns_current_graph_after_sub_ulp_move(self, monkeypatch,
-                                                      rng):
-        # A move that gains more than IMPROVE_TOL but less than the ulp of
-        # the total leaves the float total unchanged.  Greedy applied it,
-        # so its returned graph, best score and best iteration must still
-        # be those of the current graph.
+    @staticmethod
+    def one_move_greedy(monkeypatch, rng, start_score, gain):
+        """DAG greedy in a stub space whose one move A_arc(0, 1) gains
+        ``gain`` (its undo loses it) from a score of ``start_score``."""
         add, delete = MoveOperator("A_arc", 0, 1), MoveOperator("D_arc", 0, 1)
-        gain = 5e-12
-        start_score = -1e6
-        assert start_score + gain == start_score
         one = np.eye(2, k=1, dtype=bool)       # the pair (0, 1) only
         stub = search._Space(
             neighborhood=lambda g: search.Neighbourhood(
@@ -649,11 +647,36 @@ class TestGreedy:
             start_problem=PartialDag.dag_problem)
         monkeypatch.setattr(search, "_DAG_SPACE", stub)
         ds = random_dataset(2, 10, rng)
-        g, report = dag_greedy_search(ds, Scorer(ds))
-        assert report.trace == [(add, gain)]
-        assert list(g.arcs()) == [(0, 1)]
-        assert report.best_score == start_score + gain
-        assert report.best_iteration == report.iterations_applied == 1
+        return add, *dag_greedy_search(ds, Scorer(ds))
+
+    def test_returns_current_graph_after_sub_ulp_move(self, monkeypatch,
+                                                      rng):
+        # A move that gains less than the ulp of the total would leave the
+        # float total unchanged.  It is within tol, so greedy stops before
+        # it and returns the current graph with its score.
+        start_score, gain = -1e6, 5e-12
+        assert start_score + gain == start_score
+        _, g, report = self.one_move_greedy(monkeypatch, rng, start_score,
+                                            gain)
+        assert report.trace == []
+        assert list(g.arcs()) == []
+        assert report.best_score == start_score
+        assert report.best_iteration == report.iterations_applied == 0
+
+    @pytest.mark.parametrize("start_score, gain, applied", [
+        (-1e6, 9e-7, False), (-1e6, 2e-6, True),
+        (0.5, 9e-13, False), (0.5, 2e-12, True)])
+    def test_stops_at_gain_within_tol(self, monkeypatch, rng, start_score,
+                                      gain, applied):
+        # tol = 1e-12 * max(1, |total|): greedy stops before a gain of at
+        # most tol and applies a larger one; the returned graph, best
+        # score and best iteration are then those of the current graph.
+        add, g, report = self.one_move_greedy(monkeypatch, rng, start_score,
+                                              gain)
+        assert report.trace == ([(add, gain)] if applied else [])
+        assert list(g.arcs()) == ([(0, 1)] if applied else [])
+        assert report.best_score == start_score + gain * applied
+        assert report.best_iteration == report.iterations_applied == applied
 
     def test_dag_greedy_runs(self, rng):
         ds = random_dataset(4, 100, rng)
@@ -760,7 +783,7 @@ class TestTabuSelection:
         assert g.edge_count() == 1
 
     @pytest.mark.parametrize("run, rescore, seed", [
-        (tabu_search, "score_rpdag", 22), (dag_tabu_search, "score_dag", 3)],
+        (tabu_search, "score_rpdag", 52), (dag_tabu_search, "score_dag", 8)],
         ids=["rpdag", "dag"])
     def test_applies_first_maximal_allowed_move(self, monkeypatch, run,
                                                 rescore, seed):
@@ -768,7 +791,8 @@ class TestTabuSelection:
         # checks every applied move against each iteration's scored
         # neighbourhood.  The seeds give runs in which the list overrules
         # the first maximal move, knocks out two or more moves that score
-        # above the applied one, and aspiration admits a listed move.
+        # above the applied one, and aspiration admits a listed move that
+        # beats the best score by more than tol.
         neighbourhoods = record_scored(monkeypatch)
         ds = sample(random_network(7, seed=seed, p=0.4), 1500, seed=seed)
         tll = 7
@@ -777,9 +801,9 @@ class TestTabuSelection:
             neighbourhoods, report,
             getattr(Scorer(ds), rescore)(PartialDag(7)), tll)
         overruled = chained = aspirated = 0
-        for moves, pool, applied, listed, improved in steps:
+        for moves, pool, applied, listed, improved, tol in steps:
             top = max(d for _, d in pool)
-            assert applied == next(m for m in pool if m[1] == top)
+            assert applied == next(m for m in pool if m[1] >= top - tol)
             overruled += applied != max(moves, key=lambda m: m[1])
             chained += sum(m[1] > applied[1] and m not in pool
                            for m in moves) >= 2
@@ -800,17 +824,17 @@ def twin_columns():
                    np.column_stack([noise, a, a, b]))
 
 
-def first_tied(pool):
-    """The moves of pool whose delta is the maximum, and the first of
-    them in sort_key order."""
+def first_tied(pool, tol):
+    """The moves of pool whose delta is within tol of the maximum, and the
+    first of them in sort_key order."""
     top = max(d for _, d in pool)
-    tied = [m for m in pool if m[1] == top]
+    tied = [m for m in pool if m[1] >= top - tol]
     return tied, min(tied, key=lambda m: m[0].sort_key())
 
 
 class TestTieBreak:
-    """Moves with exactly equal deltas: the first in sort_key order is
-    applied."""
+    """Moves whose deltas are within tol of the maximum tie: the first in
+    sort_key order is applied."""
 
     @pytest.mark.parametrize("run, first_moves", [
         (greedy_search, [("A_link", 1, 2), ("A_link", 1, 3)]),
@@ -825,12 +849,77 @@ class TestTieBreak:
         _, report = run(ds, Scorer(ds))
         assert [(op.kind, op.x, op.y)
                 for op, _ in report.trace[:2]] == first_moves
+        total = Scorer(ds).score_dag(PartialDag(4))
         ties = 0
         for moves, applied in zip(neighbourhoods, report.trace):
-            tied, first = first_tied(moves)
+            tied, first = first_tied(moves, search._tol(total))
             assert applied == first
             ties += len(tied) > 1
+            total += applied[1]
         assert ties >= 1
+
+    @pytest.mark.parametrize("run, first_moves", [
+        (greedy_search, [("A_link", 1, 2), ("A_link", 1, 3)]),
+        (dag_greedy_search, [("A_arc", 1, 2), ("A_arc", 1, 3)]),
+    ], ids=["rpdag", "dag"])
+    def test_tie_within_tol(self, monkeypatch, run, first_moves):
+        # Scores of families with a2 but not a1 among the parents are
+        # raised by 1e-10, far above the rounding of these deltas and
+        # below tol (about 1e-9 here), so the copy of a tied move that
+        # reads a2 in place of a1 gains more than the a1 move: rpdag's
+        # A_link(2, 3) against A_link(1, 3), DAG's A_arc(2, 1) against
+        # A_arc(1, 2) and A_arc(2, 3) against A_arc(1, 3).  The moves still
+        # tie within tol, and the first in sort_key order is applied.
+        local = Scorer.local
+
+        def nudged(scorer, y, parents):
+            value = local(scorer, y, parents)
+            return value + 1e-10 if 2 in parents and 1 not in parents \
+                else value
+
+        monkeypatch.setattr(Scorer, "local", nudged)
+        neighbourhoods = record_scored(monkeypatch)
+        ds = twin_columns()
+        scorer = Scorer(ds)
+        total = scorer.score_dag(PartialDag(4))
+        _, report = run(ds, scorer)
+        assert [(op.kind, op.x, op.y)
+                for op, _ in report.trace[:2]] == first_moves
+        overruled = 0
+        for moves, (_, d) in zip(neighbourhoods[:2], report.trace):
+            top = max(delta for _, delta in moves)
+            assert top - d <= search._tol(total)
+            overruled += top > d
+            total += d
+        assert overruled == len(first_moves) - (run is greedy_search)
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    @pytest.mark.parametrize("run", [
+        greedy_search, dag_greedy_search, tabu_search, dag_tabu_search])
+    def test_kernel_swap_keeps_results(self, monkeypatch, run, seed):
+        # An lgamma kernel that rounds differently, here the package's
+        # times 1 + 4 eps, moves every score by ulps but changes no move,
+        # graph or counter.  With TIE_RTOL = 0 the same swap changes four
+        # of these twelve runs.
+        def outcome():
+            g, report = run(ds, Scorer(ds))
+            return {"arcs": sorted(g.arcs()), "links": sorted(g.links()),
+                    "moves": [(op.kind, op.x, op.y, op.z)
+                              for op, _ in report.trace],
+                    "counters": (report.iterations_applied,
+                                 report.best_iteration,
+                                 report.individuals_evaluated,
+                                 report.evaluated, report.requested)}, \
+                report.best_score
+
+        ds = sample(random_network(9, seed=seed, p=0.4), 2000, seed=seed)
+        before, best = outcome()
+        lgamma = scoring._lgamma
+        monkeypatch.setattr(scoring, "_lgamma", lambda *args: tuple(
+            values * (1 + 4 * EPS) for values in lgamma(*args)))
+        after, swapped_best = outcome()
+        assert swapped_best != best
+        assert after == before
 
     @pytest.mark.parametrize("run, rescore", [
         (tabu_search, "score_rpdag"), (dag_tabu_search, "score_dag")],
@@ -846,9 +935,9 @@ class TestTieBreak:
             neighbourhoods, report,
             getattr(Scorer(ds), rescore)(PartialDag(4)), tll)
         overruled_ties = 0
-        for moves, pool, applied, _, _ in steps:
-            tied, first = first_tied(pool)
+        for moves, pool, applied, _, _, tol in steps:
+            tied, first = first_tied(pool, tol)
             assert applied == first
             overruled_ties += (len(tied) > 1
-                               and applied != first_tied(moves)[1])
+                               and applied != first_tied(moves, tol)[1])
         assert overruled_ties > 0
