@@ -668,10 +668,11 @@ def sample(net, m, seed):
     """Draw m rows by forward sampling in a topological order.
 
     Each variable takes one ``rng.random(m)`` draw u per row; its state is
-    the number of the row's cumulative CPT bounds that u exceeds, clamped
-    to the last state.  The bounds are compared one state at a time, so
-    memory per state is O(m).  Fully determined by the seed; repeated
-    calls with the same arguments produce identical datasets.
+    the number of the row's first r - 1 cumulative CPT bounds that u
+    exceeds.  The bounds are compared one state at a time and counted in
+    the variable's own column of the rows, so memory per state is O(m).
+    Fully determined by the seed; repeated calls with the same arguments
+    produce identical datasets.
     """
     if net.cpts is None:
         raise DataError("sampling requires conditional probability tables")
@@ -691,14 +692,14 @@ def sample(net, m, seed):
     for y in order:
         table = net.cpts[y]   # one row per configuration, as validated
         j = parent_configs(rows, net.parents(y), net.cardinalities,
-                           len(table))
+                           len(table)).astype(np.intp)   # gathers fastest
         u = rng.random(m)
-        # intp, as a 256-state variable counts to 256.
-        drawn = np.zeros(m, np.intp)
-        for bound in np.cumsum(table, axis=1).T:
+        col = rows[:, y]   # contiguous, as the rows are column-major
+        # BayesNet's rows are non-negative, so a u past the last bound is
+        # past all r - 1 before it: counting those gives state r - 1.
+        for bound in np.cumsum(table, axis=1).T[:-1]:
             # One configuration (a root): j is all 0, so skip the gather.
-            drawn += u > (bound[0] if len(bound) == 1 else bound[j])
-        rows[:, y] = np.minimum(drawn, net.cardinalities[y] - 1)
+            col += u > (bound[0] if len(bound) == 1 else bound.take(j))
     return Dataset(list(net.variable_names), list(net.cardinalities), rows,
                    [list(a) for a in net.state_labels])
 

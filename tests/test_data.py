@@ -104,15 +104,11 @@ def sample_oracle(net, m, seed):
     return rows
 
 
-def awkward_network(seed, n=6):
-    """Random net with one-state variables, one 256-state variable,
-    zero-probability states and rows scaled a hair under 1."""
-    rng = np.random.default_rng(seed)
-    g = random_dag(n, rng)
-    cards = [int(rng.integers(1, 4)) for _ in range(n)]
-    cards[int(rng.integers(n))] = 256
+def awkward_tables(g, cards, rng):
+    """Dirichlet tables for g with zero-probability states and rows scaled
+    a hair under 1."""
     cpts = []
-    for y in range(n):
+    for y in range(len(cards)):
         q = math.prod(cards[x] for x in sorted(g.pa(y)))
         table = rng.dirichlet(np.ones(cards[y]), size=q)
         table[rng.random(table.shape) < 0.3] = 0.0
@@ -120,7 +116,29 @@ def awkward_network(seed, n=6):
         table /= table.sum(axis=1, keepdims=True)
         table[rng.random(q) < 0.5] *= 1 - 1e-10
         cpts.append(table)
-    return BayesNet([f"v{i}" for i in range(n)], cards, g, cpts)
+    return cpts
+
+
+def awkward_network(seed, n=6):
+    """Random net with one-state variables, one 256-state variable and
+    awkward tables."""
+    rng = np.random.default_rng(seed)
+    g = random_dag(n, rng)
+    cards = [int(rng.integers(1, 4)) for _ in range(n)]
+    cards[int(rng.integers(n))] = 256
+    return BayesNet([f"v{i}" for i in range(n)], cards, g,
+                    awkward_tables(g, cards, rng))
+
+
+def wide_states_network(seed):
+    """Fixed net stored in uint16 rows, with awkward tables: a 300-state
+    variable with a parent, a 256-state child of three parents (one of
+    them one-state) and a child of both, whose key needs 32 bits."""
+    g = PartialDag.from_edges(6, arcs=[(1, 2), (1, 3), (0, 4), (1, 4),
+                                       (2, 4), (3, 5), (4, 5)])
+    cards = [1, 3, 2, 300, 256, 2]
+    return BayesNet([f"v{i}" for i in range(6)], cards, g,
+                    awkward_tables(g, cards, np.random.default_rng(seed)))
 
 
 # Tokens csv must quote (commas, quotes, newlines), non-ASCII ones, padding
@@ -701,14 +719,19 @@ class TestSaveCsv:
         assert peak <= bound, (peak, bound)
 
     def test_gold8_sample_bytes_pinned(self, tmp_path):
-        # The bundled gold network's seed-1 sample, as the installed
-        # console script is also checked to write it: a change to sample,
-        # parent_configs or save_csv that alters the data shows here.
+        # Two samples of the bundled gold network, as the installed
+        # console script is also checked to write them: a change to sample,
+        # parent_configs or save_csv that alters the data shows here.  The
+        # 2,000 rows fill one write block, the 50,000 rows 13.
         net = load_network(str(files("rpdaglearn") / "nets" / "gold8.json"))
-        save_csv(sample(net, 2000, seed=1), tmp_path / "d.csv")
-        assert (hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest()
-                == "a2a4dc3c13ae20f2b221bb7648f8c7866d1ebc9e20977923b5911d34"
-                   "31556d5d")
+        for m, seed, digest in [
+                (2000, 1, "a2a4dc3c13ae20f2b221bb7648f8c7866d1ebc9e2097792"
+                          "3b5911d3431556d5d"),
+                (50000, 3, "64696273c4c55ff6a34150803f861930a4c4e32550ec52"
+                           "63ab11afe016159be3")]:
+            save_csv(sample(net, m, seed=seed), tmp_path / "d.csv")
+            assert (hashlib.sha256((tmp_path / "d.csv").read_bytes())
+                    .hexdigest() == digest), (m, seed)
 
 
 class TestColumnMajor:
@@ -1008,11 +1031,22 @@ class TestSample:
             sample(small_net(), 5, seed=-1)
 
     @pytest.mark.parametrize("m", [0, 1, 1000, 20000])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_equals_oracle(self, m, seed):
-        net = awkward_network(seed)
-        assert np.array_equal(sample(net, m, seed).rows,
-                              sample_oracle(net, m, seed))
+    @pytest.mark.parametrize("network, seed", [
+        *(pytest.param(awkward_network, s, id=str(s)) for s in range(3)),
+        pytest.param(wide_states_network, 0, id="wide")])
+    def test_equals_oracle(self, network, m, seed):
+        net = network(seed)
+        rows = sample(net, m, seed).rows
+        assert rows.dtype == narrowest(max(net.cardinalities))
+        assert np.array_equal(rows, sample_oracle(net, m, seed))
+
+    def test_memory_per_row(self):
+        # Beyond its rows, sample holds the draws, the intp key, one
+        # gathered bound and one comparison: 25 bytes a row.
+        m = 200000
+        net = random_network(12, seed=12, p=0.3)
+        ds, peak = traced_peak(sample, net, m, 1)
+        assert peak - ds.rows.nbytes <= 32 * m, peak / m
 
     def test_clamped_to_last_state(self):
         # Rows of half the mass, past what BayesNet accepts, so that u
